@@ -70,16 +70,22 @@ DualWorkspace::DualWorkspace(const Instance& instance)
     profile_len_[i] = static_cast<int>(profile.size());
   }
 
-  build_breakpoint_index();
-
-  for (auto& hints : hints_) hints.assign(n, 0);
+  // The breakpoint index is NOT built here: a solve accepted at its first
+  // guess evaluates one canonical allotment, which the exact profile search
+  // answers in n*log(m) probes, while the build reads all n*m entries.
+  // ensure_index() builds it on the first lookup past that allotment.
   canonical_.procs.reserve(n);
   order_.reserve(n);
   canonical_times_.reserve(n);
 }
 
-void DualWorkspace::build_breakpoint_index() {
+void DualWorkspace::ensure_index() {
+  if (index_built_) return;
+  index_built_ = true;
+  ++stats_.index_builds;
+
   const auto n = static_cast<std::size_t>(task_count_);
+  for (auto& hints : hints_) hints.assign(n, 0);
   strict_.assign(n, 1);
   exc_index_.assign(n, -1);
   exc_begin_.clear();
@@ -90,9 +96,9 @@ void DualWorkspace::build_breakpoint_index() {
 
   // A task whose per-entry thresholds strictly decrease in p needs no
   // materialized table: segment j's start is leq_threshold(t(j)) -- three
-  // flops recomputed at lookup time -- so the constructor only *classifies*
+  // flops recomputed at lookup time -- so the build only *classifies*
   // each task with one read pass (no per-entry writes, which would dominate
-  // construction through fresh-page traffic on 10k-task instances).
+  // the build through fresh-page traffic on 10k-task instances).
   std::vector<double> thresholds;  // scratch for the rare non-strict tasks
   std::vector<std::pair<double, double>> unique_d;
   for (std::size_t i = 0; i < n; ++i) {
@@ -143,8 +149,9 @@ void DualWorkspace::build_breakpoint_index() {
 }
 
 std::optional<int> DualWorkspace::profile_min_procs(int task, double deadline) const {
-  // Exact fallback for deadlines inside a breakpoint's fuzz window: the
-  // same probes MalleableTask::min_procs_for performs, via the flat index.
+  // The same probes MalleableTask::min_procs_for performs, via the flat
+  // index: answers the first canonical allotment before the breakpoint
+  // index exists, and deadlines inside a breakpoint's fuzz window after.
   const double* times = profile_ptr_[static_cast<std::size_t>(task)];
   const int count = profile_len_[static_cast<std::size_t>(task)];
   if (!leq(times[count - 1], deadline)) return std::nullopt;
@@ -257,6 +264,12 @@ std::optional<int> DualWorkspace::exception_min_procs(int task, double deadline,
 }
 
 std::optional<int> DualWorkspace::min_procs_for(int task, double deadline, Channel channel) {
+  ensure_index();
+  return indexed_min_procs(task, deadline, channel);
+}
+
+std::optional<int> DualWorkspace::indexed_min_procs(int task, double deadline,
+                                                    Channel channel) {
   if (strict_[static_cast<std::size_t>(task)]) {
     return strict_min_procs(task, deadline, channel);
   }
@@ -271,6 +284,10 @@ const CanonicalAllotment& DualWorkspace::canonical(double deadline) {
   ++stats_.canonical_evals;
   ++generation_;
   canonical_valid_ = true;
+  // The first allotment without an index goes through the exact search;
+  // every later one pays for the index once and then reads it.
+  const bool exact = !index_built_ && stats_.canonical_evals == 1;
+  if (!exact) ensure_index();
 
   // Mirrors canonical_allotment(instance, deadline) term for term (same
   // lookups, same accumulation order) so the totals match bit for bit.
@@ -280,7 +297,8 @@ const CanonicalAllotment& DualWorkspace::canonical(double deadline) {
   canonical_.total_work = 0.0;
   canonical_.total_procs = 0;
   for (int i = 0; i < task_count_; ++i) {
-    const auto gamma = min_procs_for(i, deadline, kPrimary);
+    const auto gamma =
+        exact ? profile_min_procs(i, deadline) : indexed_min_procs(i, deadline, kPrimary);
     if (!gamma || *gamma > machines_) {
       canonical_.feasible = false;
       canonical_.procs.clear();
@@ -325,6 +343,7 @@ std::span<const int> DualWorkspace::canonical_order() {
 std::span<const double> DualWorkspace::merged_breakpoints() {
   if (merged_built_) return {merged_.data(), merged_.size()};
   merged_built_ = true;
+  ensure_index();
 
   // Snap domain for the breakpoint-bisecting search. It is a *navigation
   // grid*, not a correctness surface (every probe re-evaluates the real

@@ -16,14 +16,19 @@
 ///
 /// The canonical allotment gamma_i(d) of Section 2 is a step function of the
 /// guess d: it can only change where some profile time t_i(p) crosses the
-/// deadline, i.e. at the n*m task-profile breakpoints. A DualWorkspace
-/// precomputes, once per instance,
+/// deadline, i.e. at the n*m task-profile breakpoints. A DualWorkspace holds
 ///
 ///   * a flattened structure-of-arrays index over every task profile
-///     (contiguous per-task scans without vector-of-vector hops),
+///     (contiguous per-task scans without vector-of-vector hops), built at
+///     construction,
 ///   * per-task sorted breakpoint tables mapping a deadline straight to
 ///     gamma_i(d) -- with a per-task hint pointer the lookup is O(1)
-///     amortized while the dichotomic search narrows its bracket, and
+///     amortized while the dichotomic search narrows its bracket. These are
+///     built at most once per workspace, lazily: the first canonical
+///     allotment is answered by the exact profile search, and the index is
+///     built on the first lookup past it (the second dual step, the
+///     two-shelf's lambda*d lookups, or the snapped search). A solve
+///     accepted at its first guess never builds it, and
 ///   * reusable scratch buffers (the canonical allotment, the shared
 ///     canonical-area sort order, two-shelf partitions, knapsack DP tables,
 ///     list-scheduler availability buffers) so a *rejected* dual step
@@ -51,6 +56,7 @@ struct DualWorkspaceStats {
   long long lookup_probes{0};    ///< gamma lookups answered
   long long lookup_hits{0};      ///< ... answered by the hint pointer alone
   long long alloc_events{0};     ///< scratch buffer growths (incl. sub-scratches)
+  long long index_builds{0};     ///< breakpoint index constructions (0 or 1)
 };
 
 namespace detail {
@@ -128,11 +134,14 @@ class DualWorkspace {
   [[nodiscard]] DualWorkspaceStats stats() const;
 
  private:
+  [[nodiscard]] std::optional<int> indexed_min_procs(int task, double deadline,
+                                                    Channel channel);
   [[nodiscard]] std::optional<int> strict_min_procs(int task, double deadline, Channel channel);
   [[nodiscard]] std::optional<int> exception_min_procs(int task, double deadline,
                                                       Channel channel);
   [[nodiscard]] std::optional<int> profile_min_procs(int task, double deadline) const;
-  void build_breakpoint_index();
+  /// Builds the breakpoint index and the hint pointers on first call.
+  void ensure_index();
 
   const Instance* instance_;
   int machines_;
@@ -145,16 +154,19 @@ class DualWorkspace {
   std::vector<const double*> profile_ptr_;
   std::vector<int> profile_len_;
 
-  // Breakpoint index. For a task whose per-entry deadline thresholds are
-  // strictly decreasing in p (virtually every real profile), the threshold
-  // is a three-flop pure function of the profile entry, so no table is
-  // materialized at all -- lookups evaluate it inline on the SoA profile and
-  // the hint pointer caches the last gamma. Only non-strict tasks (plateaus,
-  // tolerance-level wiggles) get explicit segment tables below: within
-  // [exc_d_[j], exc_d_[j+1]) the legacy binary search returns exc_gamma_[j].
+  // Breakpoint index, built by ensure_index() on the first lookup that is
+  // not part of the first canonical allotment. For a task whose per-entry
+  // deadline thresholds are strictly decreasing in p (virtually every real
+  // profile), the threshold is a three-flop pure function of the profile
+  // entry, so no table is materialized at all -- lookups evaluate it inline
+  // on the SoA profile and the hint pointer caches the last gamma. Only
+  // non-strict tasks (plateaus, tolerance-level wiggles) get explicit
+  // segment tables below: within [exc_d_[j], exc_d_[j+1]) the legacy binary
+  // search returns exc_gamma_[j].
   // Deadlines within a breakpoint's fuzz window re-run the exact profile
   // binary search instead of trusting either path (byte-identity without
   // exact threshold construction).
+  bool index_built_{false};
   std::vector<char> strict_;     ///< per task: inline-threshold fast path?
   std::vector<int> exc_index_;   ///< per task: row in exc_begin_, or -1
   std::vector<std::size_t> exc_begin_;

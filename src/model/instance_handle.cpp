@@ -1,5 +1,6 @@
 #include "model/instance_handle.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <stdexcept>
@@ -8,15 +9,12 @@
 #include <vector>
 
 #include "model/lower_bounds.hpp"
-#include "support/fnv.hpp"
+#include "support/content_hash.hpp"
 #include "support/mutex.hpp"
 
 namespace malsched {
 
 namespace {
-
-using fnv::mix_bytes;
-using fnv::mix_u64;
 
 /// One intern() == one tick; the submit-path "zero re-hash" contract is
 /// asserted against this counter in the tests. Atomic rather than
@@ -26,25 +24,22 @@ using fnv::mix_u64;
 /// tests take.
 std::atomic<std::uint64_t> hash_count{0};
 
-/// Canonical content fingerprint. Field order is fixed; every double
-/// contributes its BIT pattern (std::bit_cast -- the serving stack promises
-/// byte-identical results, so 0.0 and -0.0 must not alias), and strings
-/// contribute length + bytes so "ab"+"c" cannot alias "a"+"bc".
+/// Canonical content fingerprint. Field order is fixed: machines, size, and
+/// per task the profile length, every double's bit pattern, the name length
+/// and the name bytes -- so "ab"+"c" cannot alias "a"+"bc".
 std::uint64_t content_fingerprint(const Instance& instance) {
   hash_count.fetch_add(1, std::memory_order_relaxed);
-  std::uint64_t hash = fnv::kOffset;
-  mix_u64(hash, static_cast<std::uint64_t>(instance.machines()));
-  mix_u64(hash, static_cast<std::uint64_t>(instance.size()));
+  ContentHasher hasher;
+  hasher.word(static_cast<std::uint64_t>(instance.machines()));
+  hasher.word(static_cast<std::uint64_t>(instance.size()));
   for (const auto& task : instance.tasks()) {
     const auto& profile = task.profile();
-    mix_u64(hash, profile.size());
-    for (const double time : profile) {
-      mix_u64(hash, std::bit_cast<std::uint64_t>(time));
-    }
-    mix_u64(hash, task.name().size());
-    mix_bytes(hash, task.name().data(), task.name().size());
+    hasher.word(profile.size());
+    hasher.doubles(profile);
+    hasher.word(task.name().size());
+    hasher.bytes(task.name());
   }
-  return hash;
+  return hasher.finish();
 }
 
 /// Exact content equality (profiles compared bit for bit, names included):
@@ -74,17 +69,37 @@ std::atomic<std::uint64_t> intern_hits{0};
 /// The process-wide intern table. Buckets are keyed by fingerprint and hold
 /// weak references: the table never keeps an instance alive, it only lets a
 /// later equal-content intern() find a still-live allocation. Dead entries
-/// are pruned as their bucket is revisited (and wholesale by
-/// intern_table_size()).
+/// are pruned as their bucket is revisited, and wholesale by a sweep that
+/// runs whenever the bucket count has doubled since the last one (and by
+/// intern_table_size()). The doubling keeps the sweeps amortized O(1) per
+/// intern and the table within twice its live size (or kMinSweep), so a
+/// stream of distinct, short-lived instances cannot grow it without bound.
 struct InternEntry {
   std::weak_ptr<const Instance> instance;
   double lower_bound;  ///< makespan_lower_bound, cached so hits skip it
 };
 
 struct InternTable {
+  static constexpr std::size_t kMinSweep = 1024;
+
   Mutex mutex;
   std::unordered_map<std::uint64_t, std::vector<InternEntry>> buckets
       MALSCHED_GUARDED_BY(mutex);
+  std::size_t sweep_at MALSCHED_GUARDED_BY(mutex){kMinSweep};
+
+  /// Drops every dead entry and empty bucket, re-arms the next sweep, and
+  /// returns the live entry count.
+  std::size_t sweep_locked() MALSCHED_REQUIRES(mutex) {
+    std::size_t live = 0;
+    for (auto bucket_it = buckets.begin(); bucket_it != buckets.end();) {
+      auto& bucket = bucket_it->second;
+      std::erase_if(bucket, [](const InternEntry& entry) { return entry.instance.expired(); });
+      live += bucket.size();
+      bucket_it = bucket.empty() ? buckets.erase(bucket_it) : std::next(bucket_it);
+    }
+    sweep_at = std::max(kMinSweep, 2 * buckets.size());
+    return live;
+  }
 };
 
 InternTable& intern_table() {
@@ -121,6 +136,7 @@ InternOutcome intern_or_insert(std::uint64_t fingerprint, const Instance& conten
   std::shared_ptr<const Instance> shared = materialize();
   const double lower_bound = makespan_lower_bound(*shared);
   bucket.push_back({shared, lower_bound});
+  if (table.buckets.size() >= table.sweep_at) table.sweep_locked();
   return {std::move(shared), lower_bound};
 }
 
@@ -175,20 +191,13 @@ std::uint64_t InstanceHandle::intern_table_hits() noexcept {
 std::size_t InstanceHandle::intern_table_size() {
   auto& table = intern_table();
   LockGuard lock(table.mutex);
-  std::size_t live = 0;
-  for (auto bucket_it = table.buckets.begin(); bucket_it != table.buckets.end();) {
-    auto& bucket = bucket_it->second;
-    for (auto it = bucket.begin(); it != bucket.end();) {
-      if (it->instance.expired()) {
-        it = bucket.erase(it);
-      } else {
-        ++live;
-        ++it;
-      }
-    }
-    bucket_it = bucket.empty() ? table.buckets.erase(bucket_it) : std::next(bucket_it);
-  }
-  return live;
+  return table.sweep_locked();
+}
+
+std::size_t InstanceHandle::intern_table_buckets() {
+  auto& table = intern_table();
+  LockGuard lock(table.mutex);
+  return table.buckets.size();
 }
 
 }  // namespace malsched

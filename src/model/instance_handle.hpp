@@ -20,10 +20,11 @@
 ///  * **Frozen content.** The handle owns the instance as
 ///    `shared_ptr<const Instance>`; nothing downstream can mutate it, so the
 ///    fingerprint and lower bound stay valid for the handle's lifetime.
-///  * **Content fingerprint.** 64-bit FNV-1a over machines, every task
-///    profile BIT pattern (0.0 and -0.0 must not alias -- the serving stack
-///    promises byte-identical results), and task names. Two handles interned
-///    from separately built but identical instances carry the same
+///  * **Content fingerprint.** A word-wide 64-bit hash (four independent
+///    multiply-rotate lanes, one 64-bit word per round) over machines, every
+///    task profile BIT pattern (0.0 and -0.0 must not alias -- the serving
+///    stack promises byte-identical results), and task names. Two handles
+///    interned from separately built but identical instances carry the same
 ///    fingerprint; operator== confirms with a deep compare behind it
 ///    (collision safety), short-circuited by pointer equality for handles
 ///    sharing one intern.
@@ -42,7 +43,10 @@
 /// pointer-identical across threads and across ShardedSchedulerService
 /// shards, and operator== takes its pointer fast path. The table holds weak
 /// references only: it never extends an instance's lifetime, and dead
-/// entries are pruned as their buckets are revisited. Each intern() still
+/// entries are pruned as their buckets are revisited and by an amortized
+/// full sweep whenever the bucket count has doubled since the last one, so
+/// a stream of distinct short-lived instances keeps the table bounded by
+/// its live content. Each intern() still
 /// hashes the incoming content exactly once (the probe needs the
 /// fingerprint), so the content_hashes() audit contract is unchanged: +1 per
 /// intern(), zero after.
@@ -102,6 +106,10 @@ class InstanceHandle {
   /// Live (still-referenced) entries in the process-wide intern table; prunes
   /// dead entries as a side effect. For tests and introspection.
   [[nodiscard]] static std::size_t intern_table_size();
+
+  /// Fingerprint buckets currently held by the intern table, dead entries
+  /// included; prunes nothing. Audit hook for the table's memory bound.
+  [[nodiscard]] static std::size_t intern_table_buckets();
 
  private:
   std::shared_ptr<const Instance> instance_;

@@ -3,9 +3,10 @@
 #include <cstddef>
 #include <cstdint>
 
-/// 64-bit FNV-1a, shared by every content-hashing site in the tree (the
-/// InstanceHandle content fingerprint and the SolveCache key fingerprint)
-/// so the constants and mixing order cannot drift apart between them.
+/// 64-bit FNV-1a, byte at a time: the SolveCache key fingerprint and the
+/// bench digests share it so the constants and mixing order cannot drift
+/// apart between them. The InstanceHandle content fingerprint does not use
+/// it; that hash is word-wide (support/content_hash.hpp).
 namespace malsched::fnv {
 
 inline constexpr std::uint64_t kOffset = 14695981039346656037ull;

@@ -254,6 +254,62 @@ TEST(DualWorkspace, HintPointerServesNarrowingBisection) {
       << "hint hit rate below 50%: " << stats.lookup_hits << "/" << stats.lookup_probes;
 }
 
+// ------------------------------------------------------------ lazy index
+
+namespace {
+
+/// Solves `instance` through a caller-owned workspace and returns how often
+/// the workspace built its breakpoint index, checking the outcome against
+/// the legacy (workspace-free) path on the way; the snapped search has no
+/// legacy twin.
+long long index_builds_for(const Instance& instance, MrtOptions options, int& iterations) {
+  DualWorkspace workspace(instance);
+  const auto fast = mrt_schedule(instance, options, &workspace);
+  iterations = fast.iterations;
+  if (!options.snap_to_breakpoints) {
+    options.use_workspace = false;
+    const auto naive = mrt_schedule(instance, options);
+    EXPECT_EQ(fast.makespan, naive.makespan);
+    EXPECT_EQ(fast.lower_bound, naive.lower_bound);
+    EXPECT_EQ(fast.branch_counts, naive.branch_counts);
+    expect_same_schedule(fast.schedule, naive.schedule, "lazy index");
+  }
+  return workspace.stats().index_builds;
+}
+
+}  // namespace
+
+TEST(DualWorkspace, OneStepSolveNeverBuildsTheIndex) {
+  GeneratorOptions options;
+  options.tasks = 512;
+  options.machines = 64;
+  const auto instance = generate_instance(WorkloadFamily::kUniform, options, 1);
+  int iterations = 0;
+  EXPECT_EQ(index_builds_for(instance, MrtOptions{}, iterations), 0);
+  EXPECT_EQ(iterations, 1) << "the instance must be accepted at the first guess";
+}
+
+TEST(DualWorkspace, MultiStepSearchBuildsTheIndexExactlyOnce) {
+  GeneratorOptions options;
+  options.tasks = 256;
+  options.machines = 64;
+  const auto instance = generate_instance(WorkloadFamily::kStairs, options, 1);
+  int iterations = 0;
+  EXPECT_EQ(index_builds_for(instance, MrtOptions{}, iterations), 1);
+  EXPECT_GT(iterations, 2);
+}
+
+TEST(DualWorkspace, SnappedSearchBuildsTheIndexExactlyOnce) {
+  GeneratorOptions options;
+  options.tasks = 512;
+  options.machines = 64;
+  const auto instance = generate_instance(WorkloadFamily::kUniform, options, 1);
+  MrtOptions snapped;
+  snapped.snap_to_breakpoints = true;
+  int iterations = 0;
+  EXPECT_EQ(index_builds_for(instance, snapped, iterations), 1);
+}
+
 // ------------------------------------------------------------ snapped search
 
 class SnappedSearchTest : public ::testing::TestWithParam<int> {};

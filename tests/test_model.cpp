@@ -1,12 +1,21 @@
 // Tests for src/model: the malleable task abstraction, monotonicity
-// enforcement, speedup models, instances, serialization and lower bounds.
+// enforcement, speedup models, instances, serialization, lower bounds, and
+// the interned handle: content fingerprint and intern table.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "model/instance.hpp"
 #include "model/instance_handle.hpp"
@@ -15,8 +24,10 @@
 #include "model/malleable_task.hpp"
 #include "model/monotonize.hpp"
 #include "model/speedup_models.hpp"
+#include "support/content_hash.hpp"
 #include "support/math_utils.hpp"
 #include "support/rng.hpp"
+#include "support/strings.hpp"
 
 namespace malsched {
 namespace {
@@ -381,6 +392,190 @@ TEST(InstanceHandle, EmptyHandleAndNullInternAreRejected) {
   // Two empties are the same (no) content; an empty equals nothing real.
   EXPECT_TRUE(empty == InstanceHandle{});
   EXPECT_FALSE(empty == InstanceHandle::intern(handle_instance()));
+}
+
+// ------------------------------------------------- content fingerprint
+
+namespace {
+
+/// A small random valid instance: 1-8 machines, 1-6 tasks, non-increasing
+/// profiles with non-decreasing work, short names.
+Instance random_small_instance(Rng& rng) {
+  const int machines = static_cast<int>(rng.uniform_int(1, 8));
+  const int count = static_cast<int>(rng.uniform_int(1, 6));
+  std::vector<MalleableTask> tasks;
+  for (int i = 0; i < count; ++i) {
+    std::vector<double> times{rng.uniform(0.5, 100.0)};
+    for (int p = 2; p <= machines; ++p) {
+      // t(p) in [t(p-1) * (p-1)/p, t(p-1)]: time never rises, work never falls.
+      const double previous = times.back();
+      const double floor = previous * static_cast<double>(p - 1) / static_cast<double>(p);
+      times.push_back(floor + rng.next_double() * (previous - floor));
+    }
+    tasks.emplace_back(std::move(times), label("t", rng.uniform_int(0, 99)));
+  }
+  return Instance(machines, std::move(tasks));
+}
+
+/// The fingerprint's word stream, spelled out: machines, size, and per task
+/// the profile length, the profile doubles, the name length, the name bytes.
+std::uint64_t stream_fingerprint(int machines, const std::vector<std::vector<double>>& profiles,
+                                 const std::vector<std::string>& names) {
+  ContentHasher hasher;
+  hasher.word(static_cast<std::uint64_t>(machines));
+  hasher.word(profiles.size());
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    hasher.word(profiles[i].size());
+    hasher.doubles(profiles[i]);
+    hasher.word(names[i].size());
+    hasher.bytes(names[i]);
+  }
+  return hasher.finish();
+}
+
+}  // namespace
+
+TEST(ContentFingerprint, SeparatesSignedZeros) {
+  // Profiles cannot hold zeros (times are positive), so the bit-pattern
+  // property is pinned on the hasher the fingerprint is built from.
+  const std::vector<double> positive{1.0, 0.0, 2.0};
+  const std::vector<double> negative{1.0, -0.0, 2.0};
+  EXPECT_NE(stream_fingerprint(3, {positive}, {""}), stream_fingerprint(3, {negative}, {""}));
+}
+
+TEST(ContentFingerprint, IsTheDocumentedWordStream) {
+  const auto handle = InstanceHandle::intern(handle_instance());
+  EXPECT_EQ(handle.fingerprint(),
+            stream_fingerprint(3, {{4.0, 2.5, 2.0}, {3.0, 1.6, 1.2}}, {"a", "b"}));
+}
+
+TEST(ContentFingerprint, SeparatesSwappedTasks) {
+  std::vector<MalleableTask> swapped;
+  swapped.emplace_back(std::vector<double>{3.0, 1.6, 1.2}, "b");
+  swapped.emplace_back(std::vector<double>{4.0, 2.5, 2.0}, "a");
+  const auto base = InstanceHandle::intern(handle_instance());
+  const auto other = InstanceHandle::intern(Instance(3, std::move(swapped)));
+  EXPECT_NE(base.fingerprint(), other.fingerprint());
+}
+
+TEST(ContentFingerprint, SeparatesANameCharacterMovedAcrossTasks) {
+  const auto make = [](const char* first, const char* second) {
+    std::vector<MalleableTask> tasks;
+    tasks.emplace_back(std::vector<double>{4.0, 2.5}, first);
+    tasks.emplace_back(std::vector<double>{3.0, 1.6}, second);
+    return InstanceHandle::intern(Instance(2, std::move(tasks)));
+  };
+  EXPECT_NE(make("ab", "c").fingerprint(), make("a", "bc").fingerprint());
+}
+
+TEST(ContentFingerprint, SeparatesEverySingleBitFlipOfEveryProfileWord) {
+  const std::vector<std::vector<double>> profiles{{4.0, 2.5, 2.0}, {3.0, 1.6, 1.2}};
+  const std::vector<std::string> names{"a", "b"};
+  const std::uint64_t base = stream_fingerprint(3, profiles, names);
+  std::vector<std::uint64_t> seen{base};
+  for (std::size_t task = 0; task < profiles.size(); ++task) {
+    for (std::size_t p = 0; p < profiles[task].size(); ++p) {
+      for (int bit = 0; bit < 64; ++bit) {
+        auto flipped = profiles;
+        auto word = std::bit_cast<std::uint64_t>(flipped[task][p]);
+        word ^= std::uint64_t{1} << bit;
+        flipped[task][p] = std::bit_cast<double>(word);
+        seen.push_back(stream_fingerprint(3, flipped, names));
+      }
+    }
+  }
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end())
+      << "two single-bit flips (or a flip and the original) share a fingerprint";
+}
+
+TEST(ContentFingerprint, NoCollisionsOverTenThousandGeneratedInstances) {
+  Rng rng(20260417);
+  std::map<std::uint64_t, Instance> by_fingerprint;
+  int distinct = 0;
+  for (int i = 0; i < 10000; ++i) {
+    Instance instance = random_small_instance(rng);
+    const auto handle = InstanceHandle::intern(instance);
+    const auto [it, inserted] = by_fingerprint.try_emplace(handle.fingerprint(), instance);
+    if (inserted) {
+      ++distinct;
+      continue;
+    }
+    // A repeated fingerprint is only allowed for repeated content.
+    EXPECT_TRUE(InstanceHandle::intern(it->second) == handle)
+        << "fingerprint collision at instance " << i;
+  }
+  EXPECT_GT(distinct, 9900);
+}
+
+TEST(ContentFingerprint, LowBitsBalanceShardRouting) {
+  // ShardedSchedulerService routes on fingerprint() % shards.
+  Rng rng(77);
+  constexpr int kInstances = 1024;
+  std::set<std::uint64_t> fingerprints;
+  while (fingerprints.size() < static_cast<std::size_t>(kInstances)) {
+    fingerprints.insert(InstanceHandle::intern(random_small_instance(rng)).fingerprint());
+  }
+  for (const int shards : {2, 4, 8}) {
+    std::vector<int> load(static_cast<std::size_t>(shards), 0);
+    for (const auto fingerprint : fingerprints) {
+      ++load[static_cast<std::size_t>(fingerprint % static_cast<std::uint64_t>(shards))];
+    }
+    const double expected = static_cast<double>(kInstances) / shards;
+    for (int shard = 0; shard < shards; ++shard) {
+      EXPECT_GE(load[static_cast<std::size_t>(shard)], 0.75 * expected)
+          << shards << " shards, shard " << shard;
+      EXPECT_LE(load[static_cast<std::size_t>(shard)], 1.25 * expected)
+          << shards << " shards, shard " << shard;
+    }
+  }
+}
+
+// ------------------------------------------------------- intern table bound
+
+TEST(InternTable, StaysBoundedUnderDistinctShortLivedInstances) {
+  // Fresh content that dies right after intern() never comes back, so its
+  // bucket is never revisited; only the amortized sweep reclaims it.
+  std::size_t high_water = 0;
+  for (int i = 0; i < 100000; ++i) {
+    std::vector<MalleableTask> tasks;
+    tasks.emplace_back(std::vector<double>{1.0 + i}, "leak");
+    static_cast<void>(InstanceHandle::intern(Instance(1, std::move(tasks))));
+    high_water = std::max(high_water, InstanceHandle::intern_table_buckets());
+  }
+  EXPECT_LE(high_water, 4096u) << "dead buckets accumulate between sweeps";
+  EXPECT_LE(InstanceHandle::intern_table_buckets(), 4096u);
+}
+
+TEST(InternTable, ConcurrentInternAndDropWhileSweeping) {
+  // Eight threads intern shared and private content and drop most of it,
+  // so sweeps run while other threads probe, hit, and insert.
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 2000;
+  const Instance shared_content = handle_instance(9.25);
+  std::vector<InstanceHandle> kept(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &shared_content, &kept] {
+      kept[static_cast<std::size_t>(t)] = InstanceHandle::intern(shared_content);
+      for (int round = 0; round < kRounds; ++round) {
+        // Equal content across threads, dropped right away.
+        static_cast<void>(InstanceHandle::intern(handle_instance(1.0 + round % 16)));
+        // Content private to this thread and round.
+        std::vector<MalleableTask> tasks;
+        tasks.emplace_back(std::vector<double>{1.0 + round, 0.75 + round / 2.0},
+                           label("thread", t));
+        static_cast<void>(InstanceHandle::intern(Instance(2, std::move(tasks))));
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (const auto& handle : kept) {
+    EXPECT_EQ(handle.shared().get(), kept.front().shared().get())
+        << "live equal content must share one allocation across sweeps";
+  }
+  EXPECT_LE(InstanceHandle::intern_table_buckets(), 4096u);
+  EXPECT_GE(InstanceHandle::intern_table_size(), 1u);  // the kept handles
 }
 
 }  // namespace
