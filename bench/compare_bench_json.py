@@ -37,6 +37,15 @@ the threshold, 2 on usage/IO errors. CI runs this informationally
 against a baseline from the pre-change tree for a real same-machine signal:
 
   python3 bench/compare_bench_json.py OLD.json NEW.json [--threshold 0.20] [--min-wall 1e-4]
+
+With --outcomes the run instead diffs solver outcomes, case by case: cases
+are matched on (config, family, seed, shard), and every case present in
+both artifacts must agree on status, makespan, lower_bound, iterations and
+(where both carry one) the outcome digest. Exit 1 on any changed case;
+cases found in only one artifact are listed but never fail the run. This is
+the check for refactors that promise byte-identical schedules:
+
+  python3 bench/compare_bench_json.py OLD.json NEW.json --outcomes
 """
 
 import json
@@ -54,12 +63,7 @@ def load_cells(path):
     informational: wall time there measures the replay horizon, not solver
     cost.
     """
-    try:
-        with open(path, encoding="utf-8") as f:
-            artifact = json.load(f)
-    except (OSError, json.JSONDecodeError) as err:
-        print(f"{path}: cannot read artifact: {err}", file=sys.stderr)
-        sys.exit(2)
+    artifact = load_artifact(path)
     sums = {}
     for case in artifact.get("cases", []):
         if case.get("status") != "ok" or case.get("wall_seconds") is None:
@@ -81,9 +85,61 @@ def load_cells(path):
     return artifact.get("rev", "?"), sums
 
 
+OUTCOME_FIELDS = ("status", "makespan", "lower_bound", "iterations", "digest")
+
+
+def load_artifact(path):
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except (OSError, json.JSONDecodeError) as err:
+        print(f"{path}: cannot read artifact: {err}", file=sys.stderr)
+        sys.exit(2)
+
+
+def load_outcomes(path):
+    """(config, family, seed, shard) -> the case's outcome fields."""
+    cases = {}
+    for case in load_artifact(path).get("cases", []):
+        key = (case.get("config", case.get("solver", "?")), case.get("family", "?"),
+               case.get("seed"), case.get("shard"))
+        cases[key] = {field: case.get(field) for field in OUTCOME_FIELDS}
+    return cases
+
+
+def compare_outcomes(old_path, new_path):
+    old, new = load_outcomes(old_path), load_outcomes(new_path)
+
+    def label(key):
+        shard = f" shard {key[3]}" if key[3] is not None else ""
+        return f"{key[0]} {key[1]} seed {key[2]}{shard}"
+
+    def sort_key(key):
+        return tuple("" if part is None else str(part) for part in key)
+
+    shared = sorted(set(old) & set(new), key=sort_key)
+    changed = 0
+    for key in shared:
+        diffs = [f"{field} {old[key][field]!r} -> {new[key][field]!r}"
+                 for field in OUTCOME_FIELDS
+                 if old[key][field] != new[key][field]
+                 and not (field == "digest" and None in (old[key][field], new[key][field]))]
+        if diffs:
+            changed += 1
+            print(f"CHANGED {label(key)}: " + "; ".join(diffs))
+    for key in sorted(set(old) - set(new), key=sort_key):
+        print(f"only in {old_path}: {label(key)}")
+    for key in sorted(set(new) - set(old), key=sort_key):
+        print(f"only in {new_path}: {label(key)}")
+    print(f"{changed} changed of {len(shared)} common cases "
+          f"({len(set(old) - set(new))} only in old, {len(set(new) - set(old))} only in new)")
+    return 1 if changed else 0
+
+
 def main(argv):
     threshold = 0.20
     min_wall = 1e-4
+    outcomes = False
     paths = []
     it = iter(argv[1:])
     for arg in it:
@@ -99,6 +155,8 @@ def main(argv):
             except (StopIteration, ValueError):
                 print("--min-wall expects a number (seconds)", file=sys.stderr)
                 return 2
+        elif arg == "--outcomes":
+            outcomes = True
         elif arg in ("-h", "--help"):
             print(__doc__.strip())
             return 0
@@ -107,6 +165,8 @@ def main(argv):
     if len(paths) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
+    if outcomes:
+        return compare_outcomes(paths[0], paths[1])
 
     base_rev, base = load_cells(paths[0])
     new_rev, new = load_cells(paths[1])

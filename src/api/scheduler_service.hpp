@@ -101,7 +101,7 @@
 /// keeps the DualWorkspace of the last instance it solved and hands it to
 /// the registry through SolveContext, so a burst of same-instance jobs
 /// (different options -- identical options would have hit the cache or
-/// joined in flight) builds the breakpoint index once per worker.
+/// joined in flight) warms the scratch buffers once per worker.
 ///
 /// Determinism contract: every result field is byte-identical to the
 /// synchronous `solve()` path, with two audited exceptions -- wall times

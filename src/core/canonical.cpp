@@ -1,32 +1,40 @@
 #include "core/canonical.hpp"
 
-#include <algorithm>
 #include <span>
 
 #include "core/dual_workspace.hpp"
+#include "sched/list_scheduler.hpp"
 #include "support/math_utils.hpp"
 
 namespace malsched {
 
 CanonicalAllotment canonical_allotment(const Instance& instance, double deadline) {
   CanonicalAllotment result;
-  result.deadline = deadline;
-  result.feasible = true;
-  result.procs.reserve(static_cast<std::size_t>(instance.size()));
+  fill_canonical_allotment(instance, deadline, result);
+  return result;
+}
+
+void fill_canonical_allotment(const Instance& instance, double deadline,
+                              CanonicalAllotment& out) {
+  out.deadline = deadline;
+  out.feasible = true;
+  out.procs.clear();
+  out.procs.reserve(static_cast<std::size_t>(instance.size()));
+  out.total_work = 0.0;
+  out.total_procs = 0;
   for (const auto& task : instance.tasks()) {
     const auto gamma = task.min_procs_for(deadline);
     if (!gamma || *gamma > instance.machines()) {
-      result.feasible = false;
-      result.procs.clear();
-      result.total_work = 0.0;
-      result.total_procs = 0;
-      return result;
+      out.feasible = false;
+      out.procs.clear();
+      out.total_work = 0.0;
+      out.total_procs = 0;
+      return;
     }
-    result.procs.push_back(*gamma);
-    result.total_work += task.work(*gamma);
-    result.total_procs += *gamma;
+    out.procs.push_back(*gamma);
+    out.total_work += task.work(*gamma);
+    out.total_procs += *gamma;
   }
-  return result;
 }
 
 bool certified_infeasible(const Instance& instance, const CanonicalAllotment& allotment) {
@@ -45,16 +53,17 @@ bool property1_holds(const MalleableTask& task, int gamma, double deadline) {
 namespace {
 
 /// Definition 1's stacking sum, shared by both canonical_area overloads:
-/// `times[i]` must equal t_i(procs[i]) and `order` must list the tasks by
-/// non-increasing time with ties on the lower index (the legacy
-/// stable_sort's order), or the fractional cut lands on the wrong task.
-double stacked_area(std::span<const int> order, std::span<const int> procs,
-                    std::span<const double> times, int machines) {
+/// `order` must list the tasks by non-increasing t_i(procs[i]) with ties on
+/// the lower index (order_by_decreasing_alloted_time's order), or the
+/// fractional cut lands on the wrong task.
+double stacked_area(const Instance& instance, std::span<const int> order,
+                    std::span<const int> procs) {
+  const int machines = instance.machines();
   double area = 0.0;
   long long procs_used = 0;
   for (const int i : order) {
     const int gamma = procs[static_cast<std::size_t>(i)];
-    const double time = times[static_cast<std::size_t>(i)];
+    const double time = instance.task(i).time(gamma);
     if (procs_used + gamma >= machines) {
       // Task k of Definition 1: only the slice up to processor m counts.
       area += static_cast<double>(machines - procs_used) * time;
@@ -70,29 +79,13 @@ double stacked_area(std::span<const int> order, std::span<const int> procs,
 
 double canonical_area(const Instance& instance, const CanonicalAllotment& allotment) {
   if (!allotment.feasible) return 0.0;
-
-  // Legacy path: one stable_sort per call. Ties keep the lower task index
-  // first -- the workspace path reproduces exactly this permutation (with an
-  // explicit index tie-break), so both overloads stack in the same order.
-  std::vector<int> order(static_cast<std::size_t>(instance.size()));
-  for (int i = 0; i < instance.size(); ++i) order[static_cast<std::size_t>(i)] = i;
-  std::vector<double> times(order.size());
-  for (int i = 0; i < instance.size(); ++i) {
-    times[static_cast<std::size_t>(i)] =
-        instance.task(i).time(allotment.procs[static_cast<std::size_t>(i)]);
-  }
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return times[static_cast<std::size_t>(a)] > times[static_cast<std::size_t>(b)];
-  });
-
-  return stacked_area(order, allotment.procs, times, instance.machines());
+  return stacked_area(instance, order_by_decreasing_alloted_time(instance, allotment.procs),
+                      allotment.procs);
 }
 
 double canonical_area(DualWorkspace& workspace, const CanonicalAllotment& allotment) {
   if (!allotment.feasible) return 0.0;
-  const auto order = workspace.canonical_order();
-  return stacked_area(order, allotment.procs, workspace.canonical_times(),
-                      workspace.instance().machines());
+  return stacked_area(workspace.instance(), workspace.canonical_order(), allotment.procs);
 }
 
 double area_threshold(const Instance& instance, double deadline) {

@@ -35,6 +35,11 @@ struct CanonicalAllotment {
 /// Computes the canonical allotment (binary search per task, O(n log m)).
 [[nodiscard]] CanonicalAllotment canonical_allotment(const Instance& instance, double deadline);
 
+/// As canonical_allotment, into `out` (procs keeps its capacity, so a reused
+/// allotment does not allocate).
+void fill_canonical_allotment(const Instance& instance, double deadline,
+                              CanonicalAllotment& out);
+
 /// Property 2 rejection test: if OPT <= d then total canonical work <= m*d.
 /// Returns true when the instance is *certifiably* infeasible at `deadline`
 /// (either some gamma_i is undefined or the area bound fails).
@@ -56,8 +61,8 @@ struct CanonicalAllotment {
 
 /// Workspace-aware overload: identical value, but the decreasing-time order
 /// comes from the workspace's once-per-step sort (shared with the canonical
-/// list algorithm) instead of a fresh stable_sort per call. `allotment` must
-/// be the workspace's current canonical allotment.
+/// list algorithm) instead of order_by_decreasing_alloted_time. `allotment`
+/// must be the workspace's current canonical allotment.
 [[nodiscard]] double canonical_area(DualWorkspace& workspace,
                                     const CanonicalAllotment& allotment);
 

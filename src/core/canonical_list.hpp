@@ -31,7 +31,7 @@ namespace malsched {
 
 class DualWorkspace;
 
-/// Reusable buffers for the workspace-aware canonical-list path (processor
+/// Reusable buffers for the canonical-list placement (processor
 /// availability, sliding-window maxima, and the monotone-queue ring).
 struct CanonicalListScratch {
   std::vector<double> avail;
@@ -73,15 +73,14 @@ struct CanonicalListOutcome {
 /// Width ceil((k*+1)/2) used by the reallocation rule.
 [[nodiscard]] int reallocation_width(double mu);
 
-/// Runs the algorithm for guess `deadline`.
+/// Runs the algorithm for guess `deadline` (through a local DualWorkspace).
 [[nodiscard]] CanonicalListOutcome canonical_list_schedule(
     const Instance& instance, double deadline, const CanonicalListOptions& options = {});
 
-/// Workspace-aware overload: byte-identical outcome, but the canonical
-/// allotment, area, and priority order come from the workspace's shared
-/// per-step cache (one sort per dual step instead of one per branch) and the
-/// list loop runs out of reused scratch -- only the returned Schedule
-/// allocates.
+/// Workspace overload: the canonical allotment, area, and priority order
+/// come from the workspace's shared per-step cache (one sort per dual step
+/// instead of one per branch) and the list loop runs out of reused scratch
+/// -- only the returned Schedule allocates.
 [[nodiscard]] CanonicalListOutcome canonical_list_schedule(
     DualWorkspace& workspace, double deadline, const CanonicalListOptions& options = {});
 

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <functional>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -14,266 +15,25 @@ namespace malsched {
 
 namespace {
 
-/// Deadline threshold of one profile entry: leq(a, .) is monotone
-/// non-decreasing on [0, inf) (its right side d + kRelEps*max(a, d, 1) +
-/// kAbsEps is), so the accepting deadlines form a half-line starting near
-/// d* = a - kRelEps*max(a, 1) - kAbsEps (at the boundary d is within an ulp
-/// of a, so the comparison scale max(a, d, 1) resolves to max(a, 1)). The
-/// candidate is exact up to a few ulps of float rounding; lookups landing
-/// inside the fuzz window around it re-run the profile binary search
-/// instead, which keeps every answer byte-identical to
-/// MalleableTask::min_procs_for without exact threshold computation. Three
-/// flops -- cheap enough to recompute at lookup time instead of tabulating.
-inline double leq_threshold(double a) {
+/// Deadline from which leq(a, d) holds: leq(a, .) is monotone non-decreasing
+/// on [0, inf) (its right side d + kRelEps*max(a, d, 1) + kAbsEps is), so the
+/// accepting deadlines form a half-line starting near d* = a -
+/// kRelEps*max(a, 1) - kAbsEps (at the boundary d is within an ulp of a, so
+/// the comparison scale max(a, d, 1) resolves to max(a, 1)). Exact up to a
+/// few ulps of rounding -- plenty for a snap domain that only steers the
+/// search.
+double leq_threshold(double a) {
   const double c = a >= 1.0 ? a * (1.0 - kRelEps) - kAbsEps : a - kRelEps - kAbsEps;
   return c > 0.0 ? c : 0.0;
 }
 
-/// Half-width of the ambiguity window around leq_threshold(a): hundreds of
-/// ulps of the comparison scale, vastly wider than the candidate's real
-/// error (a few ulps of float rounding) and still measure-zero for the dual
-/// search's guesses.
-inline double leq_threshold_fuzz(double a) { return 1e-13 * std::max(a, 1.0); }
-
-/// Replays MalleableTask::min_procs_for's exact probe sequence, with every
-/// predicate leq(times[mid-1], d) replaced by the equivalent
-/// d >= thresholds[mid-1] (valid whenever d sits outside every threshold's
-/// fuzz window). Identical probes, identical result.
-int replay_min_procs(std::span<const double> thresholds, double d) {
-  int lo = 1;
-  int hi = static_cast<int>(thresholds.size());
-  while (lo < hi) {
-    const int mid = lo + (hi - lo) / 2;
-    if (d >= thresholds[static_cast<std::size_t>(mid) - 1]) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo;
-}
-
 }  // namespace
 
-DualWorkspace::DualWorkspace(const Instance& instance)
-    : instance_(&instance),
-      machines_(instance.machines()),
-      task_count_(instance.size()) {
-  const auto n = static_cast<std::size_t>(task_count_);
-
-  // Flattened profile index (pointers into the instance's own storage).
-  profile_ptr_.resize(n);
-  profile_len_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& profile = instance.task(static_cast<int>(i)).profile();
-    profile_ptr_[i] = profile.data();
-    profile_len_[i] = static_cast<int>(profile.size());
-  }
-
-  // The breakpoint index is NOT built here: a solve accepted at its first
-  // guess evaluates one canonical allotment, which the exact profile search
-  // answers in n*log(m) probes, while the build reads all n*m entries.
-  // ensure_index() builds it on the first lookup past that allotment.
+DualWorkspace::DualWorkspace(const Instance& instance) : instance_(&instance) {
+  const auto n = static_cast<std::size_t>(instance.size());
   canonical_.procs.reserve(n);
   order_.reserve(n);
   canonical_times_.reserve(n);
-}
-
-void DualWorkspace::ensure_index() {
-  if (index_built_) return;
-  index_built_ = true;
-  ++stats_.index_builds;
-
-  const auto n = static_cast<std::size_t>(task_count_);
-  for (auto& hints : hints_) hints.assign(n, 0);
-  strict_.assign(n, 1);
-  exc_index_.assign(n, -1);
-  exc_begin_.clear();
-  exc_d_.clear();
-  exc_fuzz_.clear();
-  exc_gamma_.clear();
-  exc_begin_.push_back(0);
-
-  // A task whose per-entry thresholds strictly decrease in p needs no
-  // materialized table: segment j's start is leq_threshold(t(j)) -- three
-  // flops recomputed at lookup time -- so the build only *classifies*
-  // each task with one read pass (no per-entry writes, which would dominate
-  // the build through fresh-page traffic on 10k-task instances).
-  std::vector<double> thresholds;  // scratch for the rare non-strict tasks
-  std::vector<std::pair<double, double>> unique_d;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* times = profile_ptr_[i];
-    const auto length = static_cast<std::size_t>(profile_len_[i]);
-    bool strictly_decreasing = true;
-    double previous = leq_threshold(times[0]);
-    for (std::size_t k = 1; k < length && strictly_decreasing; ++k) {
-      const double current = leq_threshold(times[k]);
-      strictly_decreasing = current < previous;
-      previous = current;
-    }
-    if (strictly_decreasing) continue;
-
-    // General case (plateaus or tolerance-level wiggles): build an explicit
-    // segment table. The legacy lookup first requires leq(times.back(), d):
-    // deadlines below the last entry's threshold have no allotment at all,
-    // so segments only start there (profiles are non-increasing up to
-    // tolerance, hence the back threshold is the smallest up to the same
-    // tolerance).
-    strict_[i] = 0;
-    exc_index_[i] = static_cast<int>(exc_begin_.size()) - 1;
-    thresholds.resize(length);
-    unique_d.clear();
-    for (std::size_t k = 0; k < length; ++k) {
-      const double a = times[k];
-      thresholds[k] = leq_threshold(a);
-      unique_d.emplace_back(thresholds[k], leq_threshold_fuzz(a));
-    }
-    std::sort(unique_d.begin(), unique_d.end());
-    const double feasible_from = thresholds[length - 1];
-    const std::size_t row_begin = exc_d_.size();
-    for (const auto& [d, fz] : unique_d) {
-      if (d < feasible_from) continue;
-      if (exc_d_.size() > row_begin && exc_d_.back() == d) {
-        // Exact tie (plateau): keep one segment, widest fuzz wins.
-        exc_fuzz_.back() = std::max(exc_fuzz_.back(), fz);
-        continue;
-      }
-      // Within [d, next breakpoint) every predicate d' >= thresholds[k] is
-      // constant, so the replayed search result is the segment's gamma.
-      exc_d_.push_back(d);
-      exc_fuzz_.push_back(fz);
-      exc_gamma_.push_back(replay_min_procs(thresholds, d));
-    }
-    exc_begin_.push_back(exc_d_.size());
-  }
-}
-
-std::optional<int> DualWorkspace::profile_min_procs(int task, double deadline) const {
-  // The same probes MalleableTask::min_procs_for performs, via the flat
-  // index: answers the first canonical allotment before the breakpoint
-  // index exists, and deadlines inside a breakpoint's fuzz window after.
-  const double* times = profile_ptr_[static_cast<std::size_t>(task)];
-  const int count = profile_len_[static_cast<std::size_t>(task)];
-  if (!leq(times[count - 1], deadline)) return std::nullopt;
-  int lo = 1;
-  int hi = count;
-  while (lo < hi) {
-    const int mid = lo + (hi - lo) / 2;
-    if (leq(times[mid - 1], deadline)) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo;
-}
-
-std::optional<int> DualWorkspace::strict_min_procs(int task, double deadline, Channel channel) {
-  const double* times = profile_ptr_[static_cast<std::size_t>(task)];
-  const auto count = static_cast<std::size_t>(profile_len_[static_cast<std::size_t>(task)]);
-  // Thresholds strictly decrease in p, so gamma(d) is the first p with
-  // d >= leq_threshold(times[p-1]) -- all thresholds recomputed inline.
-  const double back = leq_threshold(times[count - 1]);
-  if (deadline < back - leq_threshold_fuzz(times[count - 1])) return std::nullopt;
-  if (deadline <= back + leq_threshold_fuzz(times[count - 1])) {
-    return profile_min_procs(task, deadline);  // feasibility boundary fuzz
-  }
-
-  ++stats_.lookup_probes;
-  auto& hint = hints_[channel][static_cast<std::size_t>(task)];
-  // gamma(d) is in [1, count]; the bisection narrows its bracket, so the
-  // hinted gamma (or a neighbor) answers most lookups in O(1).
-  const auto in_segment = [&](std::size_t g) {
-    return deadline >= leq_threshold(times[g - 1]) &&
-           (g == 1 || deadline < leq_threshold(times[g - 2]));
-  };
-  std::size_t g = hint;
-  if (g < 1 || g > count) g = count;
-  if (in_segment(g)) {
-    ++stats_.lookup_hits;
-  } else if (g < count && in_segment(g + 1)) {
-    ++stats_.lookup_hits;
-    ++g;
-  } else if (g > 1 && in_segment(g - 1)) {
-    ++stats_.lookup_hits;
-    --g;
-  } else {
-    // replay_min_procs with the thresholds evaluated on the fly.
-    std::size_t lo = 1;
-    std::size_t hi = count;
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (deadline >= leq_threshold(times[mid - 1])) {
-        hi = mid;
-      } else {
-        lo = mid + 1;
-      }
-    }
-    g = lo;
-  }
-  hint = static_cast<std::uint32_t>(g);
-  // Boundary fuzz: within a window of either enclosing breakpoint the
-  // inline thresholds are not trusted; the exact search answers instead.
-  if (deadline <= leq_threshold(times[g - 1]) + leq_threshold_fuzz(times[g - 1]) ||
-      (g > 1 &&
-       deadline >= leq_threshold(times[g - 2]) - leq_threshold_fuzz(times[g - 2]))) {
-    return profile_min_procs(task, deadline);
-  }
-  return static_cast<int>(g);
-}
-
-std::optional<int> DualWorkspace::exception_min_procs(int task, double deadline,
-                                                      Channel channel) {
-  const auto row = static_cast<std::size_t>(exc_index_[static_cast<std::size_t>(task)]);
-  const std::size_t begin = exc_begin_[row];
-  const std::size_t end = exc_begin_[row + 1];
-  if (begin == end) return std::nullopt;
-  if (deadline < exc_d_[begin]) {
-    if (deadline >= exc_d_[begin] - exc_fuzz_[begin]) return profile_min_procs(task, deadline);
-    return std::nullopt;
-  }
-  ++stats_.lookup_probes;
-  const double* const d = exc_d_.data();
-  const std::size_t count = end - begin;
-  auto& hint = hints_[channel][static_cast<std::size_t>(task)];
-  std::size_t j = hint;
-  if (j >= count) j = count - 1;
-  const auto in_segment = [&](std::size_t s) {
-    return d[begin + s] <= deadline && (s + 1 == count || deadline < d[begin + s + 1]);
-  };
-  if (in_segment(j)) {
-    ++stats_.lookup_hits;
-  } else if (j + 1 < count && in_segment(j + 1)) {
-    ++stats_.lookup_hits;
-    ++j;
-  } else if (j > 0 && in_segment(j - 1)) {
-    ++stats_.lookup_hits;
-    --j;
-  } else {
-    j = static_cast<std::size_t>(
-            std::upper_bound(d + begin, d + end, deadline) - (d + begin)) -
-        1;
-  }
-  hint = static_cast<std::uint32_t>(j);
-  // Boundary fuzz as in the strict path.
-  if (deadline <= exc_d_[begin + j] + exc_fuzz_[begin + j] ||
-      (begin + j + 1 < end && deadline >= exc_d_[begin + j + 1] - exc_fuzz_[begin + j + 1])) {
-    return profile_min_procs(task, deadline);
-  }
-  return exc_gamma_[begin + j];
-}
-
-std::optional<int> DualWorkspace::min_procs_for(int task, double deadline, Channel channel) {
-  ensure_index();
-  return indexed_min_procs(task, deadline, channel);
-}
-
-std::optional<int> DualWorkspace::indexed_min_procs(int task, double deadline,
-                                                    Channel channel) {
-  if (strict_[static_cast<std::size_t>(task)]) {
-    return strict_min_procs(task, deadline, channel);
-  }
-  return exception_min_procs(task, deadline, channel);
 }
 
 const CanonicalAllotment& DualWorkspace::canonical(double deadline) {
@@ -284,32 +44,7 @@ const CanonicalAllotment& DualWorkspace::canonical(double deadline) {
   ++stats_.canonical_evals;
   ++generation_;
   canonical_valid_ = true;
-  // The first allotment without an index goes through the exact search;
-  // every later one pays for the index once and then reads it.
-  const bool exact = !index_built_ && stats_.canonical_evals == 1;
-  if (!exact) ensure_index();
-
-  // Mirrors canonical_allotment(instance, deadline) term for term (same
-  // lookups, same accumulation order) so the totals match bit for bit.
-  canonical_.deadline = deadline;
-  canonical_.feasible = true;
-  canonical_.procs.clear();
-  canonical_.total_work = 0.0;
-  canonical_.total_procs = 0;
-  for (int i = 0; i < task_count_; ++i) {
-    const auto gamma =
-        exact ? profile_min_procs(i, deadline) : indexed_min_procs(i, deadline, kPrimary);
-    if (!gamma || *gamma > machines_) {
-      canonical_.feasible = false;
-      canonical_.procs.clear();
-      canonical_.total_work = 0.0;
-      canonical_.total_procs = 0;
-      return canonical_;
-    }
-    canonical_.procs.push_back(*gamma);
-    canonical_.total_work += static_cast<double>(*gamma) * time(i, *gamma);
-    canonical_.total_procs += *gamma;
-  }
+  fill_canonical_allotment(*instance_, deadline, canonical_);
   return canonical_;
 }
 
@@ -319,17 +54,20 @@ std::span<const int> DualWorkspace::canonical_order() {
   }
   if (order_generation_ == generation_) return {order_.data(), order_.size()};
 
-  const auto n = static_cast<std::size_t>(task_count_);
+  const auto n = static_cast<std::size_t>(instance_->size());
   detail::resize_counted(canonical_times_, n, stats_.alloc_events);
+  // gamma_i <= max_procs by construction, so the profile is indexed directly.
   for (std::size_t i = 0; i < n; ++i) {
-    canonical_times_[i] = time(static_cast<int>(i), canonical_.procs[i]);
+    const auto& times = instance_->task(static_cast<int>(i)).profile();
+    canonical_times_[i] = times[static_cast<std::size_t>(canonical_.procs[i]) - 1];
   }
   detail::resize_counted(order_, n, stats_.alloc_events);
   std::iota(order_.begin(), order_.end(), 0);
-  // The legacy paths use std::stable_sort on the decreasing-time key (ties
-  // keep the lower index first). std::sort with the explicit index
-  // tie-break yields that exact permutation without stable_sort's internal
-  // temporary buffer, keeping the step allocation-free.
+  // order_by_decreasing_alloted_time uses std::stable_sort on the
+  // decreasing-time key (ties keep the lower index first). std::sort with the
+  // explicit index tie-break yields that exact permutation without
+  // stable_sort's internal temporary buffer, keeping the step
+  // allocation-free.
   std::sort(order_.begin(), order_.end(), [&](int a, int b) {
     const double ta = canonical_times_[static_cast<std::size_t>(a)];
     const double tb = canonical_times_[static_cast<std::size_t>(b)];
@@ -343,34 +81,38 @@ std::span<const int> DualWorkspace::canonical_order() {
 std::span<const double> DualWorkspace::merged_breakpoints() {
   if (merged_built_) return {merged_.data(), merged_.size()};
   merged_built_ = true;
-  ensure_index();
 
   // Snap domain for the breakpoint-bisecting search. It is a *navigation
   // grid*, not a correctness surface (every probe re-evaluates the real
   // predicates), so it is capped: past the cap each task contributes an
-  // evenly strided sample of its segment starts, keeping the one-time sort
+  // evenly strided sample of its breakpoints, keeping the one-time sort
   // O(cap log cap) instead of O(n*m log(n*m)) on 10k-task instances.
   constexpr std::size_t kSnapDomainCap = 8192;
   std::size_t total = 0;
-  for (std::size_t i = 0; i < static_cast<std::size_t>(task_count_); ++i) {
-    total += static_cast<std::size_t>(profile_len_[i]);
-  }
+  for (const auto& task : instance_->tasks()) total += task.profile().size();
   const std::size_t stride =
       total <= kSnapDomainCap ? 1 : (total + kSnapDomainCap - 1) / kSnapDomainCap;
   merged_.clear();
-  merged_.reserve(total / stride + static_cast<std::size_t>(task_count_));
-  for (std::size_t i = 0; i < static_cast<std::size_t>(task_count_); ++i) {
-    if (strict_[i]) {
-      const double* times = profile_ptr_[i];
-      for (std::size_t k = 0; k < static_cast<std::size_t>(profile_len_[i]); k += stride) {
-        merged_.push_back(leq_threshold(times[k]));
-      }
-      continue;
+  merged_.reserve(total / stride + static_cast<std::size_t>(instance_->size()));
+  std::vector<double> thresholds;
+  for (const auto& task : instance_->tasks()) {
+    const auto& times = task.profile();
+    thresholds.resize(times.size());
+    std::transform(times.begin(), times.end(), thresholds.begin(), leq_threshold);
+    // Strictly decreasing thresholds (virtually every real profile) are
+    // sampled in profile order. Otherwise (plateaus, tolerance-level
+    // wiggles) gamma_i only changes at the distinct thresholds from the last
+    // entry's up -- below it the task has no allotment at all -- sampled in
+    // increasing order.
+    if (std::adjacent_find(thresholds.begin(), thresholds.end(), std::less_equal<>{}) !=
+        thresholds.end()) {
+      const double feasible_from = thresholds.back();
+      std::sort(thresholds.begin(), thresholds.end());
+      thresholds.erase(std::unique(thresholds.begin(), thresholds.end()), thresholds.end());
+      thresholds.erase(thresholds.begin(), std::lower_bound(thresholds.begin(), thresholds.end(),
+                                                            feasible_from));
     }
-    const auto row = static_cast<std::size_t>(exc_index_[i]);
-    for (std::size_t j = exc_begin_[row]; j < exc_begin_[row + 1]; j += stride) {
-      merged_.push_back(exc_d_[j]);
-    }
+    for (std::size_t k = 0; k < thresholds.size(); k += stride) merged_.push_back(thresholds[k]);
   }
   std::sort(merged_.begin(), merged_.end());
   merged_.erase(std::unique(merged_.begin(), merged_.end()), merged_.end());
@@ -386,9 +128,9 @@ double DualWorkspace::first_plausible_deadline() {
   }
   // Property-2 feasibility is monotone in d (the canonical allotment only
   // shrinks while the m*d budget grows), so bisect the snap domain with the
-  // *real* predicate -- O(log |domain|) canonical evaluations, each answered
-  // from the breakpoint tables. Certificates callers claim from points below
-  // the result are genuine Property-2 evaluations, not extrapolations.
+  // *real* predicate -- O(log |domain|) canonical evaluations. Certificates
+  // callers claim from points below the result are genuine Property-2
+  // evaluations, not extrapolations.
   const auto rejected = [&](double d) {
     return certified_infeasible(*instance_, canonical(d));
   };
@@ -400,7 +142,7 @@ double DualWorkspace::first_plausible_deadline() {
     const auto& last = canonical(domain[hi]);
     first_plausible_ =
         last.feasible
-            ? std::max(domain[hi], last.total_work / static_cast<double>(machines_))
+            ? std::max(domain[hi], last.total_work / static_cast<double>(instance_->machines()))
             : domain[hi];
     return first_plausible_;
   }

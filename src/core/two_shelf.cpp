@@ -171,14 +171,11 @@ std::optional<Schedule> build_trivial_schedule(const Instance& instance,
   return schedule;
 }
 
-/// The Section-4 case analysis shared by both overloads. `gamma_lambda(i)`
-/// resolves min procs for deadline lambda*d (the workspace path answers it
-/// from the breakpoint index, byte-identically to the profile binary
-/// search). `canonical` must already have survived the Property-2 test.
-template <class GammaLambdaFn>
+/// The Section-4 case analysis. `canonical` must already have survived the
+/// Property-2 test.
 TwoShelfOutcome two_shelf_run(const Instance& instance, const CanonicalAllotment& canonical,
                               double deadline, const TwoShelfOptions& options,
-                              TwoShelfScratch& scratch, GammaLambdaFn&& gamma_lambda) {
+                              TwoShelfScratch& scratch) {
   TwoShelfOutcome outcome;
   const auto part = make_partition(instance, canonical, deadline, options.lambda, scratch);
   outcome.s1_count = static_cast<int>(part.s1->size());
@@ -197,7 +194,7 @@ TwoShelfOutcome two_shelf_run(const Instance& instance, const CanonicalAllotment
   candidates.clear();
   items.clear();
   for (const int i : *part.s1) {
-    const auto gl = gamma_lambda(i, lambda_d);
+    const auto gl = instance.task(i).min_procs_for(lambda_d);
     if (!gl || *gl > instance.machines()) continue;
     const int gamma = canonical.procs[static_cast<std::size_t>(i)];
     candidates.push_back({i, gamma, *gl});
@@ -278,17 +275,8 @@ TwoShelfOutcome two_shelf_run(const Instance& instance, const CanonicalAllotment
 
 TwoShelfOutcome two_shelf_schedule(const Instance& instance, double deadline,
                                    const TwoShelfOptions& options) {
-  const auto canonical = canonical_allotment(instance, deadline);
-  if (certified_infeasible(instance, canonical)) {
-    TwoShelfOutcome outcome;
-    outcome.certified_reject = true;
-    return outcome;
-  }
-  TwoShelfScratch scratch;
-  return two_shelf_run(instance, canonical, deadline, options, scratch,
-                       [&](int i, double lambda_d) {
-                         return instance.task(i).min_procs_for(lambda_d);
-                       });
+  DualWorkspace workspace(instance);
+  return two_shelf_schedule(workspace, deadline, options);
 }
 
 TwoShelfOutcome two_shelf_schedule(DualWorkspace& workspace, double deadline,
@@ -315,11 +303,7 @@ TwoShelfOutcome two_shelf_schedule(DualWorkspace& workspace, double deadline,
     return fingerprint;
   };
   const std::size_t before = capacity_fingerprint();
-  auto outcome = two_shelf_run(instance, canonical, deadline, options, scratch,
-                               [&](int i, double lambda_d) {
-                                 return workspace.min_procs_for(i, lambda_d,
-                                                                DualWorkspace::kSecondary);
-                               });
+  auto outcome = two_shelf_run(instance, canonical, deadline, options, scratch);
   if (capacity_fingerprint() != before) ++scratch.alloc_events;
   return outcome;
 }

@@ -30,7 +30,6 @@ SolverResult solve_mrt(const Instance& instance, const SolverOptions& options,
   mrt.enable_two_shelf = options.get_bool("two_shelf", mrt.enable_two_shelf);
   mrt.enable_canonical_list = options.get_bool("canonical_list", mrt.enable_canonical_list);
   mrt.enable_malleable_list = options.get_bool("malleable_list", mrt.enable_malleable_list);
-  mrt.use_workspace = options.get_bool("workspace", mrt.use_workspace);
   mrt.snap_to_breakpoints = options.get_bool("snap", mrt.snap_to_breakpoints);
 
   // One CancelCheck copied into every branch's options: the dual loop polls
@@ -43,26 +42,20 @@ SolverResult solve_mrt(const Instance& instance, const SolverOptions& options,
   mrt.canonical_list.cancel = check;
   mrt.two_shelf.cancel = check;
 
-  // The PR 3 reuse hook: a long-lived front end (SchedulerService worker)
-  // may offer a per-thread workspace already built for this instance; the
-  // provider is only consulted when the workspace path is on, so legacy
-  // (workspace=0) solves never pay for a build.
+  // The reuse hook: a long-lived front end (SchedulerService worker) may
+  // offer a per-thread workspace already built for this instance.
   DualWorkspace* reuse = nullptr;
-  if (mrt.use_workspace && context.workspace_provider) {
-    reuse = context.workspace_provider(instance);
-  }
+  if (context.workspace_provider) reuse = context.workspace_provider(instance);
   auto result = mrt_schedule(instance, mrt, reuse);
 
   SolverResult out{"", std::move(result.schedule), 0.0, result.lower_bound, 0.0, 0.0, {}};
   out.stats.emplace_back("iterations", result.iterations);
   out.stats.emplace_back("gaps", result.gaps);
   out.stats.emplace_back("final_guess", result.final_guess);
-  if (mrt.use_workspace) {
-    out.stats.emplace_back("workspace.allocations",
-                           static_cast<double>(result.workspace_allocations));
-    out.stats.emplace_back("workspace.canonical_evals",
-                           static_cast<double>(result.canonical_evals));
-  }
+  out.stats.emplace_back("workspace.allocations",
+                         static_cast<double>(result.workspace_allocations));
+  out.stats.emplace_back("workspace.canonical_evals",
+                         static_cast<double>(result.canonical_evals));
   for (int b = 0; b < kDualBranchCount; ++b) {
     const int count = result.branch_counts[static_cast<std::size_t>(b)];
     if (count > 0) {
@@ -160,10 +153,8 @@ std::vector<OptionSpec> mrt_specs() {
                           "enable the Section 3.2 canonical list branch"),
       OptionSpec::boolean("malleable_list", defaults.enable_malleable_list,
                           "enable the Section 3.1 malleable list fallback branch"),
-      OptionSpec::boolean("workspace", defaults.use_workspace,
-                          "run through the breakpoint-indexed DualWorkspace hot path"),
       OptionSpec::boolean("snap", defaults.snap_to_breakpoints,
-                          "breakpoint-snapped dual search (needs workspace=1)"),
+                          "breakpoint-snapped dual search"),
   };
 }
 

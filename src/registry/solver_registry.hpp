@@ -25,7 +25,7 @@
 ///   mrt               sqrt(3) dual approximation (MRT '99)   epsilon, compaction,
 ///                                                            pick_best_branch, two_shelf,
 ///                                                            canonical_list, malleable_list,
-///                                                            workspace (default 1), snap
+///                                                            snap
 ///   two_phase         Turek/Ludwig two-phase baseline        rigid=ffdh|nfdh|list,
 ///                                                            max_candidates
 ///   naive             practitioner anchors                   policy=half-speedup|lpt-seq|gang
@@ -59,15 +59,14 @@ class DualWorkspace;  // core/dual_workspace.hpp
 
 /// Optional per-call state a long-lived front end threads into
 /// context-aware solvers: a per-thread DualWorkspace provider (so
-/// same-instance mrt solves on one service worker reuse the breakpoint
-/// index instead of rebuilding it) and the cooperative cancellation pair --
+/// same-instance mrt solves on one service worker reuse its warm scratch)
+/// and the cooperative cancellation pair --
 /// a borrowed CancelToken plus an absolute deadline -- that the dispatch
 /// turns into the CancelCheck the solver hot loops carry.
 struct SolveContext {
   /// Returns a workspace built for exactly `instance` (building or reusing
   /// as the provider sees fit), or nullptr to decline. Called lazily -- only
-  /// by solvers that declare `reuses_workspace`, and only when their options
-  /// actually enable the workspace path -- so non-workspace solves never pay
+  /// by solvers that declare `reuses_workspace` -- so other solves never pay
   /// for a build. The returned workspace must outlive the solve and must not
   /// be shared across threads.
   std::function<DualWorkspace*(const Instance&)> workspace_provider;

@@ -364,6 +364,22 @@ TEST(SolverRegistry, OutOfRangeValuesAreRejectedBeforeDispatch) {
                std::invalid_argument);
 }
 
+TEST(SolverRegistry, RemovedWorkspaceOptionIsRejectedAsUnknown) {
+  // mrt has a single (workspace) path; workspace=0 used to select a legacy
+  // recompute path and, combined with snap=1, silently dropped the snapped
+  // search. It is now an undeclared key like any other.
+  const auto instance = small_instance();
+  for (const char* spec : {"workspace=0", "workspace=1", "workspace=0,snap=1"}) {
+    try {
+      static_cast<void>(solve("mrt", instance, SolverOptions::from_string(spec)));
+      FAIL() << spec << ": expected std::invalid_argument";
+    } catch (const std::invalid_argument& err) {
+      EXPECT_NE(std::string(err.what()).find("unknown option 'workspace'"), std::string::npos)
+          << err.what();
+    }
+  }
+}
+
 TEST(SolverRegistry, DescriptionsDeriveTheirOptionListFromTheSpecs) {
   const auto& registry = SolverRegistry::global();
   for (const auto& name : registry.names()) {

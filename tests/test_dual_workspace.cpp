@@ -1,23 +1,28 @@
-// Tests for the DualWorkspace hot path: breakpoint lookups, canonical
-// allotments, areas, full mrt solves, and the batch pipeline must be
-// byte-identical to the naive recomputation they replace; the scratch reuse
-// must be allocation-free after warm-up; and the breakpoint-snapped dual
-// search must stay sound (certified bounds never contradict brute force).
+// Tests for the DualWorkspace hot path: every gamma_i(d) must equal a linear
+// scan of the profile, and the canonical allotment, the shared
+// decreasing-time order, and the canonical area it serves must equal their
+// independent references (canonical_allotment, order_by_decreasing_alloted_time,
+// the Instance overload of canonical_area) at every breakpoint; batch solves
+// must be byte-identical across thread counts; the scratch reuse must be
+// allocation-free after warm-up; and the breakpoint-snapped dual search must
+// stay sound (certified bounds never contradict brute force).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <tuple>
 #include <vector>
 
 #include "api/solve_batch.hpp"
-#include "registry/solver_registry.hpp"
 #include "core/canonical.hpp"
 #include "core/dual_workspace.hpp"
 #include "core/mrt_scheduler.hpp"
 #include "model/lower_bounds.hpp"
+#include "registry/solver_registry.hpp"
 #include "sched/exact_small.hpp"
+#include "sched/list_scheduler.hpp"
 #include "sched/validate.hpp"
 #include "support/math_utils.hpp"
 #include "support/rng.hpp"
@@ -42,22 +47,11 @@ void expect_same_schedule(const Schedule& a, const Schedule& b, const std::strin
   }
 }
 
-// ------------------------------------------------------- breakpoint lookups
+// ------------------------------------------------ canonical allotment + area
 
-class WorkspaceFamilyTest
-    : public ::testing::TestWithParam<std::tuple<WorkloadFamily, int>> {};
-
-TEST_P(WorkspaceFamilyTest, GammaLookupMatchesProfileBinarySearch) {
-  const auto [family, seed] = GetParam();
-  GeneratorOptions options;
-  options.tasks = 24;
-  options.machines = 12;
-  const auto instance = generate_instance(family, options, static_cast<std::uint64_t>(seed));
-  DualWorkspace workspace(instance);
-
-  // Deadlines probing every breakpoint exactly, one ulp to each side, and a
-  // few scales in between: the workspace must agree with the naive binary
-  // search everywhere, including at the tolerance boundary.
+/// Deadlines probing every profile entry exactly, one ulp to each side, and
+/// a few scales in between (the tolerance boundaries of every gamma_i).
+std::vector<double> breakpoint_sweep(const Instance& instance) {
   std::vector<double> deadlines{0.0};
   for (const auto& task : instance.tasks()) {
     for (const double t : task.profile()) {
@@ -70,102 +64,119 @@ TEST_P(WorkspaceFamilyTest, GammaLookupMatchesProfileBinarySearch) {
       deadlines.push_back(t * 2.0);
     }
   }
-  for (const double d : deadlines) {
-    for (int i = 0; i < instance.size(); ++i) {
-      const auto naive = instance.task(i).min_procs_for(d);
-      const auto fast = workspace.min_procs_for(i, d);
-      ASSERT_EQ(naive.has_value(), fast.has_value()) << "task " << i << " d " << d;
-      if (naive) {
-        EXPECT_EQ(*naive, *fast) << "task " << i << " d " << d;
-      }
-    }
-  }
-}
-
-TEST_P(WorkspaceFamilyTest, CanonicalAllotmentAndAreaAreByteIdentical) {
-  const auto [family, seed] = GetParam();
-  GeneratorOptions options;
-  options.tasks = 32;
-  options.machines = 16;
-  const auto instance = generate_instance(family, options, static_cast<std::uint64_t>(seed));
-  DualWorkspace workspace(instance);
-
   const double lb = makespan_lower_bound(instance);
   for (const double factor : {0.3, 0.7, 0.95, 1.0, 1.1, 1.5, 2.5, 6.0}) {
-    const double d = lb * factor;
+    deadlines.push_back(lb * factor);
+  }
+  return deadlines;
+}
+
+/// What the workspace shares across a dual step's branches equals its
+/// independent reference at every deadline of `deadlines`.
+void expect_workspace_matches_references(const Instance& instance,
+                                         const std::vector<double>& deadlines) {
+  DualWorkspace workspace(instance);
+  for (const double d : deadlines) {
     const auto naive = canonical_allotment(instance, d);
     const auto& fast = workspace.canonical(d);
     ASSERT_EQ(naive.feasible, fast.feasible) << "d " << d;
     EXPECT_EQ(naive.procs, fast.procs) << "d " << d;
     EXPECT_EQ(naive.total_work, fast.total_work) << "d " << d;
     EXPECT_EQ(naive.total_procs, fast.total_procs) << "d " << d;
-    if (naive.feasible) {
-      EXPECT_EQ(canonical_area(instance, naive), canonical_area(workspace, fast)) << "d " << d;
-    }
+    if (!naive.feasible) continue;
+    const auto order = workspace.canonical_order();
+    EXPECT_EQ(std::vector<int>(order.begin(), order.end()),
+              order_by_decreasing_alloted_time(instance, naive.procs))
+        << "d " << d;
+    EXPECT_EQ(canonical_area(instance, naive), canonical_area(workspace, fast)) << "d " << d;
   }
 }
 
-TEST_P(WorkspaceFamilyTest, MrtSolveIsByteIdenticalToLegacyPath) {
+/// gamma_i(d) by a linear scan of the profile: the first p whose time is
+/// within tolerance of d. Independent of the binary search that both
+/// canonical_allotment and the workspace go through.
+std::optional<int> gamma_by_linear_scan(const MalleableTask& task, double d) {
+  const auto& profile = task.profile();
+  for (std::size_t p = 0; p < profile.size(); ++p) {
+    if (leq(profile[p], d)) return static_cast<int>(p) + 1;
+  }
+  return std::nullopt;
+}
+
+/// The workspace's gamma_i(d) equals the linear-scan reference for every task
+/// at every deadline of `deadlines`, and the allotment is feasible exactly
+/// when every task admits some processor count.
+void expect_gamma_matches_linear_scan(const Instance& instance,
+                                      const std::vector<double>& deadlines) {
+  DualWorkspace workspace(instance);
+  for (const double d : deadlines) {
+    const auto& fast = workspace.canonical(d);
+    bool feasible = true;
+    for (int i = 0; i < instance.size(); ++i) {
+      const auto reference = gamma_by_linear_scan(instance.task(i), d);
+      if (!reference) {
+        feasible = false;
+        continue;
+      }
+      if (fast.feasible) {
+        ASSERT_EQ(fast.procs.size(), static_cast<std::size_t>(instance.size())) << "d " << d;
+        EXPECT_EQ(fast.procs[static_cast<std::size_t>(i)], *reference)
+            << "task " << i << " d " << d;
+      }
+    }
+    EXPECT_EQ(fast.feasible, feasible) << "d " << d;
+  }
+}
+
+class WorkspaceFamilyTest
+    : public ::testing::TestWithParam<std::tuple<WorkloadFamily, int>> {};
+
+TEST_P(WorkspaceFamilyTest, GammaLookupMatchesProfileBinarySearch) {
   const auto [family, seed] = GetParam();
   GeneratorOptions options;
-  options.tasks = 28;
-  options.machines = 14;
+  options.tasks = 24;
+  options.machines = 12;
   const auto instance = generate_instance(family, options, static_cast<std::uint64_t>(seed));
+  expect_gamma_matches_linear_scan(instance, breakpoint_sweep(instance));
+}
 
-  MrtOptions legacy;
-  legacy.use_workspace = false;
-  MrtOptions fast;
-  fast.use_workspace = true;
-
-  const auto a = mrt_schedule(instance, legacy);
-  const auto b = mrt_schedule(instance, fast);
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.lower_bound, b.lower_bound);
-  EXPECT_EQ(a.ratio, b.ratio);
-  EXPECT_EQ(a.final_guess, b.final_guess);
-  EXPECT_EQ(a.iterations, b.iterations);
-  EXPECT_EQ(a.gaps, b.gaps);
-  EXPECT_EQ(a.branch_counts, b.branch_counts);
-  expect_same_schedule(a.schedule, b.schedule, to_string(family));
+TEST_P(WorkspaceFamilyTest, CanonicalAllotmentAndAreaAreByteIdentical) {
+  const auto [family, seed] = GetParam();
+  GeneratorOptions options;
+  options.tasks = 24;
+  options.machines = 12;
+  const auto instance = generate_instance(family, options, static_cast<std::uint64_t>(seed));
+  expect_workspace_matches_references(instance, breakpoint_sweep(instance));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Families, WorkspaceFamilyTest,
-    ::testing::Combine(::testing::Values(WorkloadFamily::kUniform, WorkloadFamily::kBimodal,
-                                         WorkloadFamily::kHeavyTail, WorkloadFamily::kStairs,
-                                         WorkloadFamily::kPackedOpt1,
-                                         WorkloadFamily::kSequentialOnly),
+    ::testing::Combine(::testing::ValuesIn(all_workload_families()),
                        ::testing::Values(1, 2, 3)));
 
-TEST(DualWorkspace, HandlesPlateauProfilesAtToleranceBoundaries) {
+TEST(DualWorkspace, CanonicalAllotmentAndAreaMatchOnPlateauProfiles) {
   // Flat and plateaued profiles put many breakpoints on the same deadline;
-  // the segment table must still reproduce the naive search exactly.
+  // near-ties sit inside the comparison tolerance.
   std::vector<MalleableTask> tasks;
   tasks.emplace_back(std::vector<double>{4.0, 4.0, 4.0, 4.0}, "flat");
   tasks.emplace_back(std::vector<double>{8.0, 4.0, 4.0, 4.0}, "plateau");
   tasks.emplace_back(std::vector<double>{1.0 + 1e-10, 1.0, 1.0 - 1e-13, 0.75}, "near-ties");
   const Instance instance(4, std::move(tasks));
-  DualWorkspace workspace(instance);
-  for (int i = 0; i < instance.size(); ++i) {
-    for (const double base : {0.25, 0.5, 1.0 - 1e-13, 1.0, 1.0 + 1e-10, 2.0, 4.0, 8.0, 16.0}) {
-      for (const double d : {std::nextafter(base, 0.0), base, std::nextafter(base, 100.0)}) {
-        const auto naive = instance.task(i).min_procs_for(d);
-        const auto fast = workspace.min_procs_for(i, d);
-        ASSERT_EQ(naive.has_value(), fast.has_value()) << "task " << i << " d " << d;
-        if (naive) {
-          EXPECT_EQ(*naive, *fast) << "task " << i << " d " << d;
-        }
-      }
+  auto deadlines = breakpoint_sweep(instance);
+  for (const double base : {0.25, 0.5, 1.0 - 1e-13, 1.0, 1.0 + 1e-10, 2.0, 4.0, 8.0, 16.0}) {
+    for (const double d : {std::nextafter(base, 0.0), base, std::nextafter(base, 100.0)}) {
+      deadlines.push_back(d);
     }
   }
+  expect_workspace_matches_references(instance, deadlines);
+  expect_gamma_matches_linear_scan(instance, deadlines);
 }
 
 // ------------------------------------------------------------- batch solves
 
-TEST(DualWorkspace, BatchResultsMatchNaiveAcrossThreadCounts) {
-  // The production fan-out: the default (workspace) mrt config must produce
-  // the same schedules and bounds as the workspace=0 recomputation, on every
-  // thread count.
+TEST(DualWorkspace, BatchResultsAreIdenticalAcrossThreadCounts) {
+  // The production fan-out: every thread count must produce the schedules
+  // and bounds of the synchronous solve, with and without the snapped search.
   std::vector<std::shared_ptr<const Instance>> instances;
   Rng rng(4242);
   for (const auto family : all_workload_families()) {
@@ -179,29 +190,24 @@ TEST(DualWorkspace, BatchResultsMatchNaiveAcrossThreadCounts) {
   std::vector<BatchJob> jobs;
   for (const auto& instance : instances) {
     jobs.push_back({"mrt", SolverOptions::from_string(""), instance});
-    jobs.push_back({"mrt", SolverOptions::from_string("workspace=0"), instance});
+    jobs.push_back({"mrt", SolverOptions::from_string("snap=1"), instance});
   }
 
-  std::vector<BatchReport> reports;
   for (const unsigned threads : {1u, 2u, 8u}) {
     BatchRunnerOptions options;
     options.threads = threads;
-    reports.push_back(solve_batch(jobs, options));
-  }
-  for (const auto& report : reports) {
+    const auto report = solve_batch(jobs, options);
     ASSERT_EQ(report.errors, 0);
-    for (std::size_t i = 0; i < jobs.size(); i += 2) {
-      const auto& fast = report.items[i].result;
-      const auto& naive = report.items[i + 1].result;
-      ASSERT_TRUE(fast && naive);
-      EXPECT_EQ(fast->makespan, naive->makespan) << "job " << i;
-      EXPECT_EQ(fast->lower_bound, naive->lower_bound) << "job " << i;
-      EXPECT_EQ(fast->ratio, naive->ratio) << "job " << i;
-      expect_same_schedule(fast->schedule, naive->schedule, "batch job " + std::to_string(i));
-    }
-    // Byte-identical across thread counts as well (the exec guarantee).
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      EXPECT_EQ(report.items[i].result->makespan, reports[0].items[i].result->makespan);
+      const auto& batch = report.items[i].result;
+      ASSERT_TRUE(batch);
+      const auto direct = solve(jobs[i].solver, *jobs[i].instance, jobs[i].options);
+      const std::string what =
+          "job " + std::to_string(i) + " threads " + std::to_string(threads);
+      EXPECT_EQ(batch->makespan, direct.makespan) << what;
+      EXPECT_EQ(batch->lower_bound, direct.lower_bound) << what;
+      EXPECT_EQ(batch->ratio, direct.ratio) << what;
+      expect_same_schedule(batch->schedule, direct.schedule, what);
     }
   }
 }
@@ -230,84 +236,6 @@ TEST(DualWorkspace, DualStepsAreAllocationFreeAfterWarmUp) {
   EXPECT_EQ(after.alloc_events, warmed.alloc_events)
       << "scratch buffers grew after warm-up";
   EXPECT_GT(after.canonical_hits, warmed.canonical_hits);  // branches shared the step's allotment
-}
-
-TEST(DualWorkspace, HintPointerServesNarrowingBisection) {
-  GeneratorOptions options;
-  options.tasks = 30;
-  options.machines = 16;
-  const auto instance = generate_instance(WorkloadFamily::kUniform, options, 11);
-  DualWorkspace workspace(instance);
-  // A bisection-like narrowing sequence: after the first probes the hinted
-  // segment should answer nearly every lookup.
-  const double lb = makespan_lower_bound(instance);
-  double lo = lb;
-  double hi = 4.0 * lb;
-  for (int i = 0; i < 24; ++i) {
-    const double mid = std::sqrt(lo * hi);
-    (void)workspace.canonical(mid);
-    ((i % 2 == 0) ? hi : lo) = mid;
-  }
-  const auto stats = workspace.stats();
-  ASSERT_GT(stats.lookup_probes, 0);
-  EXPECT_GT(stats.lookup_hits * 10, stats.lookup_probes * 5)
-      << "hint hit rate below 50%: " << stats.lookup_hits << "/" << stats.lookup_probes;
-}
-
-// ------------------------------------------------------------ lazy index
-
-namespace {
-
-/// Solves `instance` through a caller-owned workspace and returns how often
-/// the workspace built its breakpoint index, checking the outcome against
-/// the legacy (workspace-free) path on the way; the snapped search has no
-/// legacy twin.
-long long index_builds_for(const Instance& instance, MrtOptions options, int& iterations) {
-  DualWorkspace workspace(instance);
-  const auto fast = mrt_schedule(instance, options, &workspace);
-  iterations = fast.iterations;
-  if (!options.snap_to_breakpoints) {
-    options.use_workspace = false;
-    const auto naive = mrt_schedule(instance, options);
-    EXPECT_EQ(fast.makespan, naive.makespan);
-    EXPECT_EQ(fast.lower_bound, naive.lower_bound);
-    EXPECT_EQ(fast.branch_counts, naive.branch_counts);
-    expect_same_schedule(fast.schedule, naive.schedule, "lazy index");
-  }
-  return workspace.stats().index_builds;
-}
-
-}  // namespace
-
-TEST(DualWorkspace, OneStepSolveNeverBuildsTheIndex) {
-  GeneratorOptions options;
-  options.tasks = 512;
-  options.machines = 64;
-  const auto instance = generate_instance(WorkloadFamily::kUniform, options, 1);
-  int iterations = 0;
-  EXPECT_EQ(index_builds_for(instance, MrtOptions{}, iterations), 0);
-  EXPECT_EQ(iterations, 1) << "the instance must be accepted at the first guess";
-}
-
-TEST(DualWorkspace, MultiStepSearchBuildsTheIndexExactlyOnce) {
-  GeneratorOptions options;
-  options.tasks = 256;
-  options.machines = 64;
-  const auto instance = generate_instance(WorkloadFamily::kStairs, options, 1);
-  int iterations = 0;
-  EXPECT_EQ(index_builds_for(instance, MrtOptions{}, iterations), 1);
-  EXPECT_GT(iterations, 2);
-}
-
-TEST(DualWorkspace, SnappedSearchBuildsTheIndexExactlyOnce) {
-  GeneratorOptions options;
-  options.tasks = 512;
-  options.machines = 64;
-  const auto instance = generate_instance(WorkloadFamily::kUniform, options, 1);
-  MrtOptions snapped;
-  snapped.snap_to_breakpoints = true;
-  int iterations = 0;
-  EXPECT_EQ(index_builds_for(instance, snapped, iterations), 1);
 }
 
 // ------------------------------------------------------------ snapped search
@@ -382,10 +310,9 @@ TEST(DualWorkspace, RegistryExposesWorkspaceCounters) {
   const auto fast = solve("mrt", instance);
   EXPECT_GE(fast.stat("workspace.canonical_evals", -1.0), 1.0);
   EXPECT_GE(fast.stat("workspace.allocations", -1.0), 0.0);
-  const auto legacy = solve("mrt", instance, SolverOptions::from_string("workspace=0"));
-  EXPECT_EQ(legacy.stat("workspace.canonical_evals", -1.0), -1.0);
-  EXPECT_EQ(fast.makespan, legacy.makespan);
-  EXPECT_EQ(fast.lower_bound, legacy.lower_bound);
+  const auto snapped = solve("mrt", instance, SolverOptions::from_string("snap=1"));
+  EXPECT_GE(snapped.stat("workspace.canonical_evals", -1.0), 1.0);
+  EXPECT_GE(snapped.stat("workspace.allocations", -1.0), 0.0);
 }
 
 }  // namespace
