@@ -1,14 +1,12 @@
 #include "core/canonical_list.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
-#include <vector>
+#include <span>
 
 #include "core/canonical.hpp"
 #include "core/dual_workspace.hpp"
 #include "sched/list_scheduler.hpp"
-#include "sched/sliding.hpp"
 #include "support/math_utils.hpp"
 
 namespace malsched {
@@ -34,7 +32,7 @@ namespace {
 
 /// Leftmost window of `width` processors that are all still idle at time 0,
 /// or -1 when none exists.
-int find_idle_window(const std::vector<double>& avail, int width) {
+int find_idle_window(std::span<const double> avail, int width) {
   int run = 0;
   for (int j = 0; j < static_cast<int>(avail.size()); ++j) {
     run = avail[static_cast<std::size_t>(j)] == 0.0 ? run + 1 : 0;
@@ -50,71 +48,37 @@ int find_idle_window(const std::vector<double>& avail, int width) {
 Schedule reallocation_schedule(const Instance& instance, std::span<const int> allotment,
                                std::span<const int> order, int khat, bool& reallocated,
                                CanonicalListScratch& scratch, const CancelCheck& cancel) {
-  const int machines = instance.machines();
-  Schedule schedule(machines, instance.size());
-  auto& avail = scratch.avail;
-  detail::resize_counted(avail, static_cast<std::size_t>(machines), scratch.alloc_events);
-  std::fill(avail.begin(), avail.end(), 0.0);
-  if (scratch.ready.capacity() < static_cast<std::size_t>(machines) ||
-      scratch.window.capacity() < static_cast<std::size_t>(machines)) {
-    ++scratch.alloc_events;
-    scratch.ready.reserve(static_cast<std::size_t>(machines));
-    scratch.window.reserve(static_cast<std::size_t>(machines));
-  }
+  Schedule schedule(instance.machines(), instance.size());
+  auto& tree = scratch.availability;
+  tree.reset(instance.machines(), scratch.alloc_events);
   bool reallocation_considered = false;
   reallocated = false;
 
   for (const int task : order) {
     cancel.tick();
     const int procs = allotment[static_cast<std::size_t>(task)];
-    const double duration = instance.task(task).time(procs);
+    const Window window = tree.earliest_window(procs);
 
-    sliding_window_max_into(avail, procs, scratch.ready, scratch.window);
-    const auto& ready = scratch.ready;
-    double earliest = std::numeric_limits<double>::infinity();
-    for (const double r : ready) earliest = std::min(earliest, r);
-    const bool starts_at_zero = approx_eq(earliest, 0.0);
-
-    if (!starts_at_zero && !reallocation_considered) {
+    if (!reallocation_considered && !approx_eq(window.start, 0.0)) {
       reallocation_considered = true;  // the rule applies only to the first such task
       const int width = std::min(procs, khat);
-      const int idle =
-          static_cast<int>(std::count(avail.begin(), avail.end(), 0.0));
+      const auto avail = tree.availability();
+      const auto idle = std::count(avail.begin(), avail.end(), 0.0);
       const int column = find_idle_window(avail, width);
       if (idle >= khat && column >= 0) {
         // Work monotonicity bounds the squeezed time by (procs/width)*t(procs)
         // <= 2*t(procs) since width >= ceil(procs/2) whenever procs <= k*+1.
         const double squeezed = instance.task(task).time(width);
         schedule.assign(task, 0.0, squeezed, column, width);
-        for (int j = column; j < column + width; ++j) {
-          avail[static_cast<std::size_t>(j)] = squeezed;
-        }
+        tree.occupy(column, width, squeezed);
         reallocated = true;
         continue;
       }
     }
 
-    // Paper tie rule: leftmost window when starting at 0, rightmost after.
-    int column = -1;
-    if (starts_at_zero) {
-      for (std::size_t s = 0; s < ready.size(); ++s) {
-        if (approx_eq(ready[s], earliest)) {
-          column = static_cast<int>(s);
-          break;
-        }
-      }
-    } else {
-      for (std::size_t s = ready.size(); s-- > 0;) {
-        if (approx_eq(ready[s], earliest)) {
-          column = static_cast<int>(s);
-          break;
-        }
-      }
-    }
-    schedule.assign(task, earliest, duration, column, procs);
-    for (int j = column; j < column + procs; ++j) {
-      avail[static_cast<std::size_t>(j)] = earliest + duration;
-    }
+    const double duration = instance.task(task).time(procs);
+    schedule.assign(task, window.start, duration, window.column, procs);
+    tree.occupy(window.column, procs, window.start + duration);
   }
   return schedule;
 }

@@ -1,9 +1,9 @@
 #pragma once
 
 #include <optional>
-#include <vector>
 
 #include "model/instance.hpp"
+#include "sched/availability_tree.hpp"
 #include "sched/schedule.hpp"
 #include "support/cancellation.hpp"
 
@@ -31,12 +31,10 @@ namespace malsched {
 
 class DualWorkspace;
 
-/// Reusable buffers for the canonical-list placement (processor
-/// availability, sliding-window maxima, and the monotone-queue ring).
+/// Reusable buffers for the canonical-list placement: the processor
+/// availability tree and its sliding-window buffers.
 struct CanonicalListScratch {
-  std::vector<double> avail;
-  std::vector<double> ready;
-  std::vector<int> window;
+  AvailabilityTree availability;
   long long alloc_events{0};
 };
 

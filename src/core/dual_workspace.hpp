@@ -9,6 +9,7 @@
 #include "core/dual_approx.hpp"
 #include "core/two_shelf.hpp"
 #include "model/instance.hpp"
+#include "sched/availability_tree.hpp"
 
 /// Reusable scratch state for the dual-approximation hot loop.
 ///
@@ -44,19 +45,6 @@ struct DualWorkspaceStats {
   long long canonical_hits{0};   ///< served from the same-deadline cache
   long long alloc_events{0};     ///< scratch buffer growths (incl. sub-scratches)
 };
-
-namespace detail {
-
-/// Resizes `vec`, counting an allocation event when capacity had to grow --
-/// every workspace scratch buffer is resized through this so the
-/// allocation-free claim stays auditable.
-template <class Vec>
-void resize_counted(Vec& vec, std::size_t size, long long& alloc_events) {
-  if (vec.capacity() < size) ++alloc_events;
-  vec.resize(size);
-}
-
-}  // namespace detail
 
 class DualWorkspace {
  public:

@@ -1,12 +1,10 @@
 #include "sched/list_scheduler.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
 
-#include "sched/sliding.hpp"
-#include "support/math_utils.hpp"
+#include "sched/availability_tree.hpp"
 
 namespace malsched {
 
@@ -38,13 +36,12 @@ Schedule list_schedule(const Instance& instance, std::span<const int> allotment,
   check_inputs(instance, allotment, order);
   const int machines = instance.machines();
   Schedule schedule(machines, instance.size());
-  std::vector<double> avail(static_cast<std::size_t>(machines), 0.0);
 
-  for (const int task : order) {
-    const int procs = allotment[static_cast<std::size_t>(task)];
-    const double duration = instance.task(task).time(procs);
-
-    if (placement == Placement::kScattered) {
+  if (placement == Placement::kScattered) {
+    std::vector<double> avail(static_cast<std::size_t>(machines), 0.0);
+    for (const int task : order) {
+      const int procs = allotment[static_cast<std::size_t>(task)];
+      const double duration = instance.task(task).time(procs);
       // p least-loaded processors; start when the busiest of them frees up.
       std::vector<int> by_avail(static_cast<std::size_t>(machines));
       std::iota(by_avail.begin(), by_avail.end(), 0);
@@ -56,38 +53,18 @@ Schedule list_schedule(const Instance& instance, std::span<const int> allotment,
       for (const int p : chosen) start = std::max(start, avail[static_cast<std::size_t>(p)]);
       for (const int p : chosen) avail[static_cast<std::size_t>(p)] = start + duration;
       schedule.assign_scattered(task, start, duration, std::move(chosen));
-      continue;
     }
+    return schedule;
+  }
 
-    // Earliest start over all contiguous windows of width `procs`.
-    const auto ready = sliding_window_max(avail, procs);
-    double earliest = std::numeric_limits<double>::infinity();
-    for (const double r : ready) earliest = std::min(earliest, r);
-
-    int column = -1;
-    const bool starts_at_zero = approx_eq(earliest, 0.0);
-    const bool leftmost =
-        placement == Placement::kContiguousLeftmost || starts_at_zero;
-    if (leftmost) {
-      for (std::size_t s = 0; s < ready.size(); ++s) {
-        if (approx_eq(ready[s], earliest)) {
-          column = static_cast<int>(s);
-          break;
-        }
-      }
-    } else {
-      for (std::size_t s = ready.size(); s-- > 0;) {
-        if (approx_eq(ready[s], earliest)) {
-          column = static_cast<int>(s);
-          break;
-        }
-      }
-    }
-
-    schedule.assign(task, earliest, duration, column, procs);
-    for (int j = column; j < column + procs; ++j) {
-      avail[static_cast<std::size_t>(j)] = earliest + duration;
-    }
+  AvailabilityTree tree(machines);
+  const bool always_leftmost = placement == Placement::kContiguousLeftmost;
+  for (const int task : order) {
+    const int procs = allotment[static_cast<std::size_t>(task)];
+    const double duration = instance.task(task).time(procs);
+    const Window window = tree.earliest_window(procs, always_leftmost);
+    schedule.assign(task, window.start, duration, window.column, procs);
+    tree.occupy(window.column, procs, window.start + duration);
   }
   return schedule;
 }

@@ -15,7 +15,9 @@
 /// Contiguous placement follows the paper's §3.2 convention: among the
 /// earliest feasible windows the task goes to the *leftmost* processors when
 /// it can start at time 0 and to the *rightmost* ones otherwise ("this
-/// convention asserts the contiguous nature of the schedule").
+/// convention asserts the contiguous nature of the schedule"). Both
+/// contiguous disciplines place through sched/availability_tree.hpp, the
+/// same kernel as the canonical list algorithm.
 namespace malsched {
 
 /// Placement discipline for the generic list scheduler.

@@ -8,10 +8,11 @@
 /// width-w contiguous window.
 namespace malsched {
 
-/// Core of the sliding-window maximum for hot loops (the workspace-aware
-/// list scheduler): the result and the monotone queue live in caller-owned
-/// buffers (`ring` is resized to values.size()). sliding_window_max()
-/// delegates here, so the two can never drift.
+/// Core of the sliding-window maximum for hot loops (the availability
+/// tree's path for tasks wider than one processor): the result and the
+/// monotone queue live in caller-owned buffers (`ring` is resized to
+/// values.size()). sliding_window_max() delegates here, so the two can never
+/// drift.
 inline void sliding_window_max_into(std::span<const double> values, int width,
                                     std::vector<double>& out, std::vector<int>& ring) {
   const int n = static_cast<int>(values.size());
