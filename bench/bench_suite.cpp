@@ -208,11 +208,20 @@ struct ContentionRow {
   std::string digest;  ///< hex FNV-1a over the canonicalized outcomes
 };
 
+/// The part of one contention outcome the phase keeps: exactly what the
+/// digest hashes and the row means average. Holding these instead of whole
+/// SolveOutcomes keeps the phase's memory independent of schedule size.
+struct ContentionMetrics {
+  double makespan{0.0};
+  double lower_bound{0.0};
+  double ratio{0.0};
+};
+
 /// Canonical-order digest over (makespan, lower_bound, ratio) of every
 /// outcome, formatted with the same %.17g precision JsonWriter emits. Equal
 /// digests across shard counts are the byte-identity proof the artifact
 /// carries: same request sequence, same result bytes, shards be damned.
-std::string contention_digest(const std::vector<std::vector<SolveOutcome>>& per_thread) {
+std::string contention_digest(const std::vector<std::vector<ContentionMetrics>>& per_thread) {
   std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a offset basis
   const auto mix = [&hash](const char* data, int length) {
     for (int i = 0; i < length; ++i) {
@@ -221,11 +230,10 @@ std::string contention_digest(const std::vector<std::vector<SolveOutcome>>& per_
     }
   };
   char buffer[96];
-  for (const auto& outcomes : per_thread) {
-    for (const auto& outcome : outcomes) {
-      const int written =
-          std::snprintf(buffer, sizeof buffer, "%.17g|%.17g|%.17g;", outcome.result->makespan,
-                        outcome.result->lower_bound, outcome.result->ratio);
+  for (const auto& metrics : per_thread) {
+    for (const auto& m : metrics) {
+      const int written = std::snprintf(buffer, sizeof buffer, "%.17g|%.17g|%.17g;", m.makespan,
+                                        m.lower_bound, m.ratio);
       mix(buffer, written);
     }
   }
@@ -273,18 +281,22 @@ std::vector<ContentionRow> run_contention_phase(int tasks, int machines, bool sm
 
       ServiceConfig config;
       config.threads = row.workers_per_shard;
+      // Every outcome is observed once, by its client's wait(): reclaim the
+      // slot payloads so the services do not hold a schedule per request.
+      config.gc_slots = true;
       ShardedSchedulerService service(config, shard_count);
 
-      std::vector<std::vector<SolveOutcome>> per_thread_outcomes(kClientThreads);
+      std::vector<std::vector<ContentionMetrics>> per_thread_metrics(kClientThreads);
+      std::vector<std::string> failures(kClientThreads);
       const Stopwatch stopwatch;
       {
         std::vector<std::thread> clients;
         clients.reserve(kClientThreads);
         for (unsigned t = 0; t < kClientThreads; ++t) {
-          clients.emplace_back([&service, &handles, &per_thread_outcomes, per_thread, distinct,
-                                t] {
-            auto& outcomes = per_thread_outcomes[t];
-            outcomes.reserve(static_cast<std::size_t>(per_thread));
+          clients.emplace_back([&service, &handles, &per_thread_metrics, &failures, per_thread,
+                                distinct, t] {
+            auto& metrics = per_thread_metrics[t];
+            metrics.reserve(static_cast<std::size_t>(per_thread));
             for (int i = 0; i < per_thread; ++i) {
               // Fixed per-(thread, index) content: thread t starts at its own
               // offset and strides through the pool, so every thread
@@ -295,7 +307,13 @@ std::vector<ContentionRow> run_contention_phase(int tasks, int machines, bool sm
               // lock work, the thing the shard count divides.
               const auto& handle =
                   handles[static_cast<std::size_t>((static_cast<int>(t) + 3 * i) % distinct)];
-              outcomes.push_back(service.wait(service.submit({"mrt", {}, handle})));
+              const SolveOutcome outcome = service.wait(service.submit({"mrt", {}, handle}));
+              if (outcome.status != SolveStatus::kOk || !outcome.result) {
+                failures[t] = outcome.error.detail;
+                return;
+              }
+              metrics.push_back(
+                  {outcome.result->makespan, outcome.result->lower_bound, outcome.result->ratio});
             }
           });
         }
@@ -304,25 +322,27 @@ std::vector<ContentionRow> run_contention_phase(int tasks, int machines, bool sm
       row.wall_seconds = stopwatch.seconds();
       row.qps = row.wall_seconds > 0 ? static_cast<double>(row.requests) / row.wall_seconds : 0.0;
 
+      for (unsigned t = 0; t < kClientThreads; ++t) {
+        if (per_thread_metrics[t].size() != static_cast<std::size_t>(per_thread)) {
+          std::cerr << "contention: request failed at " << shard_count
+                    << " shards: " << failures[t] << "\n";
+          std::exit(1);
+        }
+      }
       Summary makespans;
       Summary lower_bounds;
       Summary ratios;
-      for (const auto& outcomes : per_thread_outcomes) {
-        for (const auto& outcome : outcomes) {
-          if (outcome.status != SolveStatus::kOk || !outcome.result) {
-            std::cerr << "contention: request failed at " << shard_count
-                      << " shards: " << outcome.error.detail << "\n";
-            std::exit(1);
-          }
-          makespans.add(outcome.result->makespan);
-          lower_bounds.add(outcome.result->lower_bound);
-          ratios.add(outcome.result->ratio);
+      for (const auto& metrics : per_thread_metrics) {
+        for (const auto& m : metrics) {
+          makespans.add(m.makespan);
+          lower_bounds.add(m.lower_bound);
+          ratios.add(m.ratio);
         }
       }
       row.mean_makespan = makespans.mean();
       row.mean_lower_bound = lower_bounds.mean();
       row.mean_ratio = ratios.mean();
-      row.digest = contention_digest(per_thread_outcomes);
+      row.digest = contention_digest(per_thread_metrics);
       if (!best.digest.empty() && best.digest != row.digest) {
         std::cerr << "contention: digest disagreement between reps at " << shard_count
                   << " shards: " << best.digest << " vs " << row.digest << "\n";
@@ -333,6 +353,17 @@ std::vector<ContentionRow> run_contention_phase(int tasks, int machines, bool sm
     rows.push_back(std::move(best));
   }
   return rows;
+}
+
+/// This process's peak resident set in MB (VmHWM from /proc/self/status);
+/// 0 where that file does not exist.
+double peak_rss_mb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stod(line.substr(6)) / 1024.0;
+  }
+  return 0.0;
 }
 
 template <typename Config>
@@ -540,13 +571,13 @@ int main(int argc, char** argv) {
 
   // The production serving path: one long-lived service, requests submitted
   // in case order, outcomes collected by ticket.
-  ServiceOptions service_options;
-  service_options.threads = threads;
+  ServiceConfig service_config;
+  service_config.threads = threads;
   const Stopwatch run_stopwatch;
-  SchedulerService service(service_options);
+  SchedulerService service(service_config);
   const std::vector<JobTicket> tickets = service.submit(std::move(requests));
   service.drain();
-  std::vector<JobOutcome> outcomes;
+  std::vector<SolveOutcome> outcomes;
   outcomes.reserve(tickets.size());
   for (const auto ticket : tickets) outcomes.push_back(service.wait(ticket));
   const double run_wall = run_stopwatch.seconds();
@@ -556,9 +587,9 @@ int main(int argc, char** argv) {
   std::size_t cancelled_count = 0;
   for (const auto& outcome : outcomes) {
     switch (outcome.status) {
-      case BatchItemStatus::kOk: ++ok_count; break;
-      case BatchItemStatus::kError: ++error_count; break;
-      case BatchItemStatus::kCancelled: ++cancelled_count; break;
+      case SolveStatus::kOk: ++ok_count; break;
+      case SolveStatus::kError: ++error_count; break;
+      case SolveStatus::kCancelled: ++cancelled_count; break;
     }
   }
 
@@ -755,11 +786,12 @@ int main(int argc, char** argv) {
     }
     sweep.print(std::cout);
   }
+  std::cout << "\npeak RSS (VmHWM): " << cell(peak_rss_mb(), 1) << " MB\n";
 
   if (error_count > 0) {
     std::cerr << "\n" << error_count << " case(s) failed:\n";
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      if (outcomes[i].status == BatchItemStatus::kError) {
+      if (outcomes[i].status == SolveStatus::kError) {
         std::cerr << "  case " << i << ": " << outcomes[i].error.detail << "\n";
       }
     }

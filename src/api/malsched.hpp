@@ -8,19 +8,19 @@
 ///   * registry/request.hpp            -- SolveRequest in, SolveOutcome (+ typed
 ///     SolveError, provenance) out
 ///   * registry/solver_registry.hpp    -- one-shot dispatch: registry.solve(request)
-///   * api/solve_batch.hpp        -- closed batches: solve_batch(requests)
 ///   * api/service_config.hpp     -- ServiceConfig, the one serving-tier
 ///     configuration aggregate (validate() + defaults)
-///   * api/scheduler_service.hpp  -- the long-lived single-shard service
+///   * api/scheduler_service.hpp  -- the long-lived single-shard service,
+///     and the one execution engine: a closed batch is submit(requests)
+///     followed by wait() on each ticket
 ///   * api/sharded_service.hpp    -- the N-shard scale-out tier
 ///
-/// The pre-v2 shims (Instance/BatchJob overloads, ServiceOptions) ride along
-/// through these headers for compatibility; new code should enter through
-/// SolveRequest over an interned InstanceHandle and ServiceConfig only.
+/// The registry's Instance-taking solve("name", instance, ...) shim rides
+/// along for compatibility; new code should enter through SolveRequest over
+/// an interned InstanceHandle and ServiceConfig only.
 #include "registry/request.hpp"            // IWYU pragma: export
 #include "api/scheduler_service.hpp"  // IWYU pragma: export
 #include "api/service_config.hpp"     // IWYU pragma: export
 #include "api/sharded_service.hpp"    // IWYU pragma: export
-#include "api/solve_batch.hpp"        // IWYU pragma: export
 #include "registry/solver_registry.hpp"    // IWYU pragma: export
 #include "model/instance_handle.hpp"  // IWYU pragma: export

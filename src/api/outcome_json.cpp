@@ -1,4 +1,4 @@
-#include "exec/batch_json.hpp"
+#include "api/outcome_json.hpp"
 
 namespace malsched {
 
@@ -35,7 +35,7 @@ void append_stats_json(JsonWriter& writer,
 }  // namespace
 
 void append_result_json(JsonWriter& writer, const SolverResult& result,
-                        const BatchJsonOptions& options) {
+                        const OutcomeJsonOptions& options) {
   writer.begin_object();
   writer.kv("solver", result.solver);
   writer.kv("makespan", result.makespan);
@@ -51,38 +51,43 @@ void append_result_json(JsonWriter& writer, const SolverResult& result,
   writer.end_object();
 }
 
-void append_item_json(JsonWriter& writer, const BatchItem& item,
-                      const BatchJsonOptions& options) {
+void append_outcome_json(JsonWriter& writer, const SolveOutcome& outcome,
+                         const OutcomeJsonOptions& options) {
   writer.begin_object();
-  writer.kv("index", item.index);
-  writer.kv("status", to_string(item.status));
-  // v2.1 typed errors: the machine-readable code for every non-ok item, the
-  // human-readable detail (the pre-v2.1 "error" string) only where there is
-  // message text to carry.
-  if (item.status != BatchItemStatus::kOk) writer.kv("error_code", to_string(item.error.code));
-  if (item.status == BatchItemStatus::kError) writer.kv("error", item.error.detail);
-  if (item.result) {
+  writer.kv("ticket", outcome.ticket);
+  writer.kv("status", to_string(outcome.status));
+  // v2.1 typed errors: the machine-readable code for every non-ok outcome,
+  // the human-readable detail (the pre-v2.1 "error" string) only where
+  // there is message text to carry.
+  if (outcome.status != SolveStatus::kOk) writer.kv("error_code", to_string(outcome.error.code));
+  if (outcome.status == SolveStatus::kError) writer.kv("error", outcome.error.detail);
+  if (outcome.result) {
     writer.key("result");
-    append_result_json(writer, *item.result, options);
+    append_result_json(writer, *outcome.result, options);
   }
   writer.end_object();
 }
 
-std::string batch_report_json(const BatchReport& report, const BatchJsonOptions& options) {
+std::string outcomes_json(const std::vector<SolveOutcome>& outcomes,
+                          const OutcomeJsonOptions& options) {
+  std::size_t ok = 0;
+  std::size_t errors = 0;
+  std::size_t cancelled = 0;
+  for (const auto& outcome : outcomes) {
+    switch (outcome.status) {
+      case SolveStatus::kOk: ++ok; break;
+      case SolveStatus::kError: ++errors; break;
+      case SolveStatus::kCancelled: ++cancelled; break;
+    }
+  }
   JsonWriter writer;
   writer.begin_object();
-  writer.kv("ok", report.ok);
-  writer.kv("errors", report.errors);
-  writer.kv("cancelled", report.cancelled);
-  if (options.include_timing) {
-    writer.kv("threads", report.threads);
-    writer.kv("wall_seconds", report.wall_seconds);
-  }
-  writer.key("aggregate_stats");
-  append_stats_json(writer, report.aggregate_stats());
-  writer.key("items");
+  writer.kv("ok", ok);
+  writer.kv("errors", errors);
+  writer.kv("cancelled", cancelled);
+  writer.key("outcomes");
   writer.begin_array();
-  for (const auto& item : report.items) append_item_json(writer, item, options);
+  for (const auto& outcome : outcomes) append_outcome_json(writer, outcome, options);
   writer.end_array();
   writer.end_object();
   return writer.str();

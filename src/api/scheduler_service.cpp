@@ -13,10 +13,15 @@ namespace malsched {
 
 namespace {
 
+/// Index of this thread within its owning service's workers; -1 on every
+/// other thread. Written once, at worker start, before any job runs; read
+/// to stamp SolveOutcome::worker.
+thread_local int tls_worker_index = -1;
+
 /// Per-worker mrt scratch: the workspace of the last instance this thread
 /// solved, plus a shared_ptr that pins that instance so the raw address
 /// comparison below can never hit a recycled allocation. Thread-local on the
-/// pool threads (each service owns its threads, so services never share
+/// worker threads (each service owns its threads, so services never share
 /// scratch); reset when the thread exits.
 struct WorkerScratch {
   std::shared_ptr<const Instance> instance;
@@ -41,7 +46,7 @@ DualWorkspace* thread_workspace(const std::shared_ptr<const Instance>& job_insta
   return tls_scratch.workspace.get();
 }
 
-SolveCacheConfig cache_config(const ServiceOptions& options) {
+SolveCacheConfig cache_config(const ServiceConfig& options) {
   SolveCacheConfig config;
   config.capacity = options.cache ? options.cache_capacity : 0;
   config.max_bytes = options.cache_max_bytes;
@@ -59,25 +64,39 @@ void release_request_payload(SolveRequest& request) {
   request.solver.shrink_to_fit();
 }
 
-}  // namespace
-
-namespace {
-
 /// Comma in the member initializer list is the earliest point after
 /// ensure_valid() can run; this keeps the check ahead of every member that
-/// consumes a config field (cache capacity, pool thread count).
+/// consumes a config field (cache capacity, policy enums, thread count).
 const ServiceConfig& validated(const ServiceConfig& config) {
   config.ensure_valid();
   return config;
+}
+
+unsigned worker_count(unsigned requested) {
+  const unsigned count = requested != 0 ? requested : std::thread::hardware_concurrency();
+  return count != 0 ? count : 1;
 }
 
 }  // namespace
 
 SchedulerService::SchedulerService(ServiceConfig config)
     : options_(validated(config)),
+      overload_(options_.overload_policy == "shed_oldest" ? OverloadPolicy::kShedOldest
+                : options_.overload_policy == "degrade"   ? OverloadPolicy::kDegrade
+                                                          : OverloadPolicy::kReject),
+      discipline_(options_.queue_discipline == "edf" ? QueueDiscipline::kEdf
+                                                     : QueueDiscipline::kFifo),
       registry_(config.registry != nullptr ? config.registry : &SolverRegistry::global()),
       cache_(cache_config(config)),
-      pool_(config.threads) {}
+      thread_count_(worker_count(config.threads)) {
+  // Guarded fields written without the lock: no other thread can reach this
+  // service until the constructor returns, and the workers never touch
+  // workers_. (The analysis does not check constructors.)
+  workers_.reserve(thread_count_);
+  for (unsigned i = 0; i < thread_count_; ++i) {
+    workers_.emplace_back([this, i] { worker_loop(i); });
+  }
+}
 
 SchedulerService::~SchedulerService() { shutdown(); }
 
@@ -93,7 +112,7 @@ void SchedulerService::on_result(ResultCallback callback) {
 
 JobTicket SchedulerService::enqueue_locked(SolveRequest request,
                                            std::optional<SolveOutcome> ready,
-                                           bool& born_terminal) {
+                                           Wakeups& wakeups) {
   if (!accepting_) {
     throw std::runtime_error("SchedulerService: submit() after shutdown()");
   }
@@ -104,9 +123,9 @@ JobTicket SchedulerService::enqueue_locked(SolveRequest request,
   ++stats_.submitted;
   if (ready.has_value() && ready->fast_path) ++stats_.fast_path_hits;
   if (ready.has_value()) {
-    // Submit-time cache hit: the slot is born terminal -- no closure is ever
-    // posted, so a hit costs lock work on the calling thread instead of two
-    // context switches through the pool. The caller runs deliver_ready()
+    // Submit-time cache hit: the slot is born terminal -- nothing enters the
+    // ready heap and no worker wakes, so a hit costs lock work on the calling
+    // thread instead of two context switches. The caller runs deliver_ready()
     // after unlocking (the stream must never fire under mutex_). A hit
     // consumes no queue slot, so admission control never sees it.
     ready->ticket = id;
@@ -117,7 +136,7 @@ JobTicket SchedulerService::enqueue_locked(SolveRequest request,
     hit.outcome = std::move(*ready);
     slots_.push_back(std::move(hit));
     count_terminal_locked(slots_.back().outcome);
-    born_terminal = true;
+    wakeups.terminal = true;
     return JobTicket{id};
   }
 
@@ -128,14 +147,14 @@ JobTicket SchedulerService::enqueue_locked(SolveRequest request,
 
   bool degraded = false;
   if (options_.max_queue_depth > 0 && queued_depth_ >= options_.max_queue_depth) {
-    if (options_.overload_policy == "reject") {
+    if (overload_ == OverloadPolicy::kReject) {
       SolveOutcome refused;
       refused.ticket = id;
       refused.status = SolveStatus::kError;
       refused.error = {SolveErrorCode::kRejected,
                        "queue full (" + std::to_string(queued_depth_) + " >= max_queue_depth " +
                            std::to_string(options_.max_queue_depth) + "), policy reject"};
-      refused.worker = WorkerPool::current_worker();  // -1: refused off-pool
+      refused.worker = tls_worker_index;  // -1: refused off the workers
       release_request_payload(request);
       Slot slot;
       slot.request = std::move(request);
@@ -144,10 +163,10 @@ JobTicket SchedulerService::enqueue_locked(SolveRequest request,
       slots_.push_back(std::move(slot));
       count_terminal_locked(slots_.back().outcome);
       ++stats_.rejected;
-      born_terminal = true;
+      wakeups.terminal = true;
       return JobTicket{id};
     }
-    if (options_.overload_policy == "shed_oldest") {
+    if (overload_ == OverloadPolicy::kShedOldest) {
       // The oldest still-queued slot makes room for the new one. The scan
       // starts at shed_hint_ (slots below it are known non-queued; states
       // only move forward), so repeated sheds stay amortized O(1).
@@ -165,9 +184,8 @@ JobTicket SchedulerService::enqueue_locked(SolveRequest request,
         count_terminal_locked(old.outcome);
         ++stats_.shed;
         --queued_depth_;
-        born_terminal = true;
-        // The victim's posted closure still sits in the pool queue; run_job
-        // sees the terminal state and returns without touching the slot.
+        wakeups.terminal = true;
+        // The victim's ready entry is now stale; the pop skips it.
         break;
       }
     } else {
@@ -188,14 +206,23 @@ JobTicket SchedulerService::enqueue_locked(SolveRequest request,
   if (static_cast<std::uint64_t>(queued_depth_) > stats_.queue_depth_high_water) {
     stats_.queue_depth_high_water = static_cast<std::uint64_t>(queued_depth_);
   }
+  // Which job a woken worker runs is decided at POP time, so an
+  // earlier-deadline job submitted later can overtake this one under edf.
   push_ready_locked(id, deadline);
-  // Posting under the state lock is safe (the pool never calls back into the
-  // service while holding its own lock) and makes accepting_ imply a live
-  // pool, so this post cannot throw. The closure is discipline-agnostic:
-  // which job it runs is decided at POP time, so an earlier-deadline job
-  // submitted later can overtake this one under edf.
-  pool_.post([this] { run_next(); });
+  ++wakeups.queued;
   return JobTicket{id};
+}
+
+void SchedulerService::wake(const Wakeups& wakeups) {
+  if (wakeups.queued == 1) {
+    work_cv_.notify_one();
+  } else if (wakeups.queued > 1) {
+    work_cv_.notify_all();
+  }
+  if (wakeups.terminal) {
+    done_cv_.notify_all();
+    deliver_ready();
+  }
 }
 
 bool SchedulerService::dispatches_after(const ReadyEntry& a, const ReadyEntry& b) noexcept {
@@ -204,45 +231,40 @@ bool SchedulerService::dispatches_after(const ReadyEntry& a, const ReadyEntry& b
 }
 
 void SchedulerService::push_ready_locked(std::uint64_t id, double deadline) {
-  if (options_.queue_discipline == "edf") {
-    // Deadline-less jobs carry +inf: behind every dated job, FIFO among
-    // themselves through the ticket tiebreak in dispatches_after().
-    ready_edf_.push_back(
-        ReadyEntry{deadline > 0.0 ? deadline : std::numeric_limits<double>::infinity(), id});
-    std::push_heap(ready_edf_.begin(), ready_edf_.end(), dispatches_after);
-  } else {
-    ready_fifo_.push_back(id);
-  }
+  // Deadline-less jobs (and every job under fifo) carry +inf: FIFO among
+  // themselves through the ticket tiebreak in dispatches_after().
+  const bool dated = discipline_ == QueueDiscipline::kEdf && deadline > 0.0;
+  ready_.push_back(ReadyEntry{dated ? deadline : std::numeric_limits<double>::infinity(), id});
+  std::push_heap(ready_.begin(), ready_.end(), dispatches_after);
 }
 
 bool SchedulerService::pop_ready_locked(std::uint64_t& id) {
-  if (options_.queue_discipline == "edf") {
-    while (!ready_edf_.empty()) {
-      std::pop_heap(ready_edf_.begin(), ready_edf_.end(), dispatches_after);
-      id = ready_edf_.back().id;
-      ready_edf_.pop_back();
-      if (slots_[id].state == JobState::kQueued) return true;
-    }
-  } else {
-    while (!ready_fifo_.empty()) {
-      id = ready_fifo_.front();
-      ready_fifo_.pop_front();
-      if (slots_[id].state == JobState::kQueued) return true;
-    }
+  while (!ready_.empty()) {
+    std::pop_heap(ready_.begin(), ready_.end(), dispatches_after);
+    id = ready_.back().id;
+    ready_.pop_back();
+    if (slots_[id].state == JobState::kQueued) return true;
   }
   return false;  // only stale entries (cancelled/shed/shutdown) remained
 }
 
-void SchedulerService::run_next() {
-  std::uint64_t id = 0;
-  {
-    const LockGuard lock(mutex_);
-    if (!pop_ready_locked(id)) return;
+void SchedulerService::worker_loop(unsigned index) noexcept {
+  tls_worker_index = static_cast<int>(index);
+  for (;;) {
+    std::uint64_t id = 0;
+    {
+      const LockGuard lock(mutex_);
+      // unblocked by: wake() notifying work_cv_ for every pushed entry, and
+      // shutdown() notifying all once accepting_ is cleared.
+      while (accepting_ && !pop_ready_locked(id)) work_cv_.wait(mutex_);
+      if (!accepting_) return;
+    }
+    // The popped job was kQueued under the lock; a cancel() racing this gap
+    // is caught by run_job's own re-check (the cancelled job is already
+    // terminal and needs no run). A throwing job terminates here, loudly
+    // (noexcept): run_job catches every solver exception itself.
+    run_job(id);
   }
-  // The popped job was kQueued under the lock; a cancel() racing this gap is
-  // caught by run_job's own re-check (the entry is consumed either way, and
-  // the cancelled job needs no run -- it is already terminal).
-  run_job(id);
 }
 
 std::optional<SolveOutcome> SchedulerService::peek_cache(const SolveRequest& request) {
@@ -268,7 +290,7 @@ std::optional<SolveOutcome> SchedulerService::peek_cache(const SolveRequest& req
   outcome.status = SolveStatus::kOk;
   outcome.result = *cached;  // copied outside the cache lock
   outcome.cache_hit = true;
-  outcome.worker = WorkerPool::current_worker();  // -1: served off-pool
+  outcome.worker = tls_worker_index;  // -1: served off the workers
   outcome.wall_seconds = stopwatch.seconds();
   return outcome;
 }
@@ -281,7 +303,7 @@ std::optional<SolveOutcome> SchedulerService::try_fast_path(const SolveRequest& 
   }
   const Stopwatch stopwatch;
   SolveOutcome outcome;
-  outcome.worker = WorkerPool::current_worker();  // -1: solved off-pool
+  outcome.worker = tls_worker_index;  // -1: solved off the workers
   const bool use_cache = request.use_cache && cache_.enabled();
   std::optional<SolveCache::Key> key;
   if (use_cache) {
@@ -338,16 +360,13 @@ std::optional<SolveOutcome> SchedulerService::try_fast_path(const SolveRequest& 
 JobTicket SchedulerService::submit(SolveRequest request) {
   std::optional<SolveOutcome> ready = try_fast_path(request);
   if (!ready.has_value()) ready = peek_cache(request);
-  bool born_terminal = false;
+  Wakeups wakeups;
   JobTicket ticket;
   {
     const LockGuard lock(mutex_);
-    ticket = enqueue_locked(std::move(request), std::move(ready), born_terminal);
+    ticket = enqueue_locked(std::move(request), std::move(ready), wakeups);
   }
-  if (born_terminal) {
-    done_cv_.notify_all();
-    deliver_ready();
-  }
+  wake(wakeups);
   return ticket;
 }
 
@@ -373,35 +392,18 @@ std::vector<JobTicket> SchedulerService::submit(std::vector<SolveRequest> reques
   }
   std::vector<JobTicket> tickets;
   tickets.reserve(requests.size());
-  bool born_terminal = false;
+  Wakeups wakeups;
   {
     const LockGuard lock(mutex_);
     if (!accepting_) {
       throw std::runtime_error("SchedulerService: submit() after shutdown()");
     }
     for (std::size_t i = 0; i < requests.size(); ++i) {
-      tickets.push_back(
-          enqueue_locked(std::move(requests[i]), std::move(ready[i]), born_terminal));
+      tickets.push_back(enqueue_locked(std::move(requests[i]), std::move(ready[i]), wakeups));
     }
   }
-  if (born_terminal) {
-    done_cv_.notify_all();
-    deliver_ready();
-  }
+  wake(wakeups);
   return tickets;
-}
-
-JobTicket SchedulerService::submit(BatchJob job, SubmitOptions options) {
-  auto request = job.to_request();
-  request.use_cache = options.cache;
-  return submit(std::move(request));
-}
-
-std::vector<JobTicket> SchedulerService::submit(std::vector<BatchJob> jobs,
-                                                SubmitOptions options) {
-  auto requests = intern_jobs(jobs);
-  for (auto& request : requests) request.use_cache = options.cache;
-  return submit(std::move(requests));
 }
 
 SchedulerService::Inflight* SchedulerService::find_inflight_locked(const SolveCache::Key& key) {
@@ -440,12 +442,12 @@ void SchedulerService::run_job(std::uint64_t id) {
     use_dedup = options_.dedup && use_cache;
   }
   const bool can_degrade =
-      options_.overload_policy == "degrade" && !options_.fallback_solver.empty();
+      overload_ == OverloadPolicy::kDegrade && !options_.fallback_solver.empty();
 
   const Stopwatch stopwatch;
   SolveOutcome outcome;
   outcome.ticket = id;
-  outcome.worker = WorkerPool::current_worker();
+  outcome.worker = tls_worker_index;
 
   // Deadline already expired while queued: never start the primary solve.
   // Under degrade the request still gets a (fast) answer; otherwise it
@@ -569,7 +571,7 @@ SolveOutcome SchedulerService::run_fallback(const SolveRequest& request, std::ui
                                             const Stopwatch& stopwatch) {
   SolveOutcome outcome;
   outcome.ticket = id;
-  outcome.worker = WorkerPool::current_worker();
+  outcome.worker = tls_worker_index;
   outcome.fallback_used = true;
   SolveRequest degraded;
   degraded.instance = request.instance;
@@ -710,8 +712,8 @@ void SchedulerService::deliver_ready() {
     if (out != nullptr) {
       if (streaming != nullptr) {
         // A throwing callback must neither wedge the stream (delivering_
-        // stuck true, drain() blocked forever) nor escape into WorkerPool's
-        // noexcept worker loop (std::terminate); the stream is
+        // stuck true, drain() blocked forever) nor escape into the noexcept
+        // worker loop (std::terminate); the stream is
         // infrastructure, so the exception is swallowed and delivery
         // continues with the next ticket.
         try {
@@ -815,8 +817,7 @@ bool SchedulerService::cancel(JobTicket ticket) {
       release_request_payload(slot.request);
       count_terminal_locked(slot.outcome);
       --queued_depth_;
-      // The posted closure still sits in the pool queue; run_job sees the
-      // terminal state and returns without touching the slot.
+      // Its ready entry is now stale; the pop skips it.
     } else if (slot.joined) {
       // Dedup joiner: detach THIS ticket from its leader's coalescing point
       // (the leader keeps solving for everyone else) and turn it terminal.
@@ -874,6 +875,10 @@ void SchedulerService::drain() {
 }
 
 void SchedulerService::shutdown() {
+  // Safe for concurrent callers: the worker handles are claimed under the
+  // lock, so exactly one caller joins them; the others find an empty
+  // vector and go straight to the delivery wait below.
+  std::vector<std::thread> to_join;
   {
     const LockGuard lock(mutex_);
     accepting_ = false;
@@ -890,16 +895,16 @@ void SchedulerService::shutdown() {
       --queued_depth_;
     }
     // Every remaining ready entry is now stale (its job just turned
-    // terminal) and its closure will be discarded by pool_.shutdown() below;
-    // drop the structures rather than leaving dead weight behind.
-    ready_fifo_.clear();
-    ready_edf_.clear();
+    // terminal); drop the heap rather than leaving dead weight behind.
+    ready_.clear();
+    to_join.swap(workers_);
   }
   done_cv_.notify_all();
-  // Running solves finish (their closures already left the queue; in-flight
-  // leaders fill their joiners inside finish(), before the join below); the
-  // closures of the jobs cancelled above are discarded unrun.
-  pool_.shutdown();
+  work_cv_.notify_all();
+  // Running solves finish (in-flight leaders fill their joiners inside
+  // finish(), before the join below); idle workers see intake stopped and
+  // return.
+  for (auto& worker : to_join) worker.join();
   // Flush the tail of the stream: everything is terminal now.
   deliver_ready();
   // Delivery quiescence (see the header contract): the deliver_ready()

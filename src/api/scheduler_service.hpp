@@ -1,35 +1,35 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include <atomic>
-
 #include "registry/request.hpp"
+#include "registry/solver_registry.hpp"
 #include "api/service_config.hpp"
 #include "api/solve_cache.hpp"
-#include "exec/batch_runner.hpp"
-#include "exec/worker_pool.hpp"
 #include "support/cancellation.hpp"
 #include "support/mutex.hpp"
 #include "support/stopwatch.hpp"
 
 /// The service-grade front door of the library: a long-lived scheduler that
-/// accepts SolveRequests continuously, solves them on a persistent worker
-/// pool, streams results back in deterministic order, memoizes repeated
-/// work, and coalesces concurrent duplicates onto one solve.
+/// accepts SolveRequests continuously, solves them on its own persistent
+/// worker threads, streams results back in deterministic order, memoizes
+/// repeated work, and coalesces concurrent duplicates onto one solve.
 ///
-/// Where solve() is one call and solve_batch() is one closed batch,
-/// SchedulerService is the shape a production deployment actually has: a
-/// daemon that receives requests over time and must answer each as soon as
-/// possible without re-deriving what it already knows. Four mechanisms
-/// carry that:
+/// Where solve() is one call, SchedulerService is the shape a production
+/// deployment actually has: a daemon that receives requests over time and
+/// must answer each as soon as possible without re-deriving what it already
+/// knows. It is also the library's one execution engine: a closed batch is
+/// submit(requests) followed by wait() on each ticket. Four mechanisms carry
+/// that:
 ///
 ///  * **submit/poll/wait** -- submit() enqueues and returns a JobTicket
 ///    immediately; poll() is a non-blocking status probe, wait() blocks for
@@ -38,8 +38,8 @@
 ///    exactly once, in TICKET (submission) order, regardless of which worker
 ///    finished first: delivery i+1 waits for delivery i. That makes the
 ///    stream deterministic -- the sequence of delivered results at 8 threads
-///    is byte-identical to 1 thread (and to solve_batch on the same
-///    requests) -- at the cost of head-of-line buffering, which
+///    is byte-identical to 1 thread (and to serial registry solves of the
+///    same requests) -- at the cost of head-of-line buffering, which
 ///    poll()/wait() bypass.
 ///  * **Content-addressed solve cache** -- completed results are memoized
 ///    under the interned fingerprint + solver + canonical options (see
@@ -47,7 +47,7 @@
 ///    A hit returns the memoized result without dispatching -- and since
 ///    v2.1, without the worker round trip either: submit() probes the cache
 ///    on the calling thread and a hit creates the slot already terminal
-///    (the hit's `worker` is -1, off-pool), so a hit-heavy client never
+///    (the hit's `worker` is -1, off the workers), so a hit-heavy client never
 ///    pays two context switches per request. A submit-time miss is not
 ///    counted (the dispatch-time lookup still runs and counts), so every
 ///    cache-consulting request counts exactly one hit or one miss. Because
@@ -120,7 +120,7 @@
 ///
 /// Lifecycle: drain() finishes everything submitted; shutdown() stops
 /// intake, cancels every job not yet started, finishes the ones running
-/// (leaders fill their joiners before the pool joins), and joins the
+/// (leaders fill their joiners before the workers join), and joins the
 /// workers (the destructor calls it). Outcomes stay poll()-able after
 /// shutdown until the service is destroyed.
 ///
@@ -134,12 +134,6 @@
 /// take-once value.
 namespace malsched {
 
-/// Pre-v2.1 name for the service configuration; ServiceConfig
-/// (api/service_config.hpp) is the one aggregate both serving tiers take,
-/// with defaults and validate(). Documented shim, same policy as the
-/// BatchJob shims -- don't extend it.
-using ServiceOptions = ServiceConfig;
-
 /// Opaque handle to one submitted job; tickets are dense and increase in
 /// submission order (ticket order IS delivery order).
 struct JobTicket {
@@ -152,10 +146,6 @@ enum class JobState {
   kRunning,    ///< a worker is solving it (or it joined an in-flight solve)
   kDone,       ///< terminal: ok / error / cancelled (see the outcome)
 };
-
-/// Pre-v2 name for the streaming payload; SolveOutcome (registry/request.hpp) is
-/// the one type batch items, bench cases, and service outcomes share.
-using JobOutcome = SolveOutcome;
 
 /// Point-in-time service counters. stats() fills the service-side fields as
 /// ONE consistent snapshot copied under the state mutex (no field-by-field
@@ -210,14 +200,6 @@ struct ServiceStats {
 /// write_service_stats() (api/stats_json.hpp), and bench_schema.json.
 void accumulate_stats(ServiceStats& total, const ServiceStats& shard);
 
-/// Pre-v2 per-submit flags; SolveRequest::use_cache carries this now.
-struct SubmitOptions {
-  /// Consult/populate the solve cache and join in-flight duplicates (no-op
-  /// when the service cache is off). Off for jobs that must measure a real
-  /// solve.
-  bool cache{true};
-};
-
 class SchedulerService {
  public:
   using ResultCallback = std::function<void(const SolveOutcome&)>;
@@ -241,13 +223,6 @@ class SchedulerService {
 
   /// Enqueues many requests atomically (their tickets are consecutive).
   std::vector<JobTicket> submit(std::vector<SolveRequest> requests)
-      MALSCHED_EXCLUDES(mutex_);
-
-  /// Pre-v2 shims: intern the job's instance (one fingerprint per call --
-  /// per distinct instance for the vector form), map SubmitOptions::cache to
-  /// SolveRequest::use_cache, and forward.
-  JobTicket submit(BatchJob job, SubmitOptions options = {}) MALSCHED_EXCLUDES(mutex_);
-  std::vector<JobTicket> submit(std::vector<BatchJob> jobs, SubmitOptions options = {})
       MALSCHED_EXCLUDES(mutex_);
 
   /// Non-blocking: the outcome if the job reached a terminal state, nullopt
@@ -297,7 +272,8 @@ class SchedulerService {
   /// "all slots terminal" and "all outcomes delivered".
   void shutdown() MALSCHED_EXCLUDES(mutex_);
 
-  [[nodiscard]] unsigned threads() const noexcept { return pool_.threads(); }
+  /// Worker threads the service was started with (fixed at construction).
+  [[nodiscard]] unsigned threads() const noexcept { return thread_count_; }
 
   /// One consistent snapshot of the service counters, copied under the
   /// state mutex (see ServiceStats).
@@ -318,10 +294,23 @@ class SchedulerService {
     std::uint64_t join_leader{0};       ///< leader ticket this slot coalesced on
   };
 
-  /// One pending job in the dispatch order structure (see ready_edf_).
+  /// ServiceConfig's string knobs, parsed once at construction.
+  enum class OverloadPolicy { kReject, kShedOldest, kDegrade };
+  enum class QueueDiscipline { kFifo, kEdf };
+
+  /// One pending job in the ready heap (see ready_).
   struct ReadyEntry {
-    double key{0.0};  ///< absolute merged deadline; +inf for deadline-less
+    double key{0.0};  ///< edf: absolute merged deadline; +inf when none, and always under fifo
     std::uint64_t id{0};
+  };
+
+  /// What enqueue_locked() leaves for the caller to do once mutex_ is
+  /// released (wake()): wake a worker per queued entry, and -- when any slot
+  /// turned terminal (a born-terminal slot or a shed victim) -- notify
+  /// done_cv_ and run deliver_ready(). Accumulates across a vector submit.
+  struct Wakeups {
+    std::size_t queued{0};
+    bool terminal{false};
   };
 
   /// One coalescing point: the leader's key plus everyone who joined it.
@@ -335,16 +324,15 @@ class SchedulerService {
     std::vector<Joiner> joiners;
   };
 
-  /// With `ready` engaged (a submit-time cache hit), the slot is born
-  /// terminal: no closure is posted. Admission control runs here too --
-  /// a full queue may reject the new slot (born terminal kRejected), shed
-  /// the oldest queued one, or flag the new one degraded. Whenever ANY slot
-  /// turned terminal (the new one or a shed victim), `born_terminal` is set
-  /// to true (never cleared -- it accumulates across a batch) and the
-  /// caller must notify done_cv_ and run deliver_ready() after releasing
-  /// the mutex.
+  /// With `ready` engaged (a submit-time cache hit or fast-path answer),
+  /// the slot is born terminal and nothing enters the ready heap, so no
+  /// worker is woken. Admission control runs here too -- a full queue may
+  /// reject the new slot (born terminal kRejected), shed the oldest queued
+  /// one, or flag the new one degraded. `wakeups` records what the caller
+  /// must do after releasing the mutex (see Wakeups).
   JobTicket enqueue_locked(SolveRequest request, std::optional<SolveOutcome> ready,
-                           bool& born_terminal) MALSCHED_REQUIRES(mutex_);
+                           Wakeups& wakeups) MALSCHED_REQUIRES(mutex_);
+  void wake(const Wakeups& wakeups) MALSCHED_EXCLUDES(mutex_);
   /// Submit-time cache fast path: probes the solve cache on the CALLING
   /// thread for a cache-consulting request and returns the ready outcome on
   /// a hit (no worker round trip). Misses are not counted here -- see
@@ -361,16 +349,13 @@ class SchedulerService {
   /// one-hit-or-one-miss invariant holds for fast-path requests too.
   [[nodiscard]] std::optional<SolveOutcome> try_fast_path(const SolveRequest& request)
       MALSCHED_EXCLUDES(mutex_);
+  /// Body of worker thread `index`: pops the next live entry off the ready
+  /// heap and runs it, parking on work_cv_ while the heap holds nothing
+  /// live; returns once shutdown() stops intake.
+  void worker_loop(unsigned index) noexcept MALSCHED_EXCLUDES(mutex_);
   void run_job(std::uint64_t id) MALSCHED_EXCLUDES(mutex_);
-  /// Pool closure body under a queue discipline: pops the next dispatchable
-  /// job from the ready structure and runs it. Closures and ready entries
-  /// are pushed 1:1 (each enqueue posts one of each), and a closure consumes
-  /// at most one live entry, so no live entry is ever stranded without a
-  /// closure to run it; entries whose slot already left kQueued (cancelled,
-  /// shed, shut down) are skipped as stale.
-  void run_next() MALSCHED_EXCLUDES(mutex_);
   void push_ready_locked(std::uint64_t id, double deadline) MALSCHED_REQUIRES(mutex_);
-  /// Heap order for ready_edf_: true when `a` dispatches AFTER `b`. Under
+  /// Heap order for ready_: true when `a` dispatches AFTER `b`. Under
   /// std::push_heap/pop_heap this puts the earliest deadline (then the
   /// smallest ticket) at the front. Pure on the entries -- it never reads
   /// guarded state, so the heap calls stay analysis-clean.
@@ -393,11 +378,17 @@ class SchedulerService {
   void count_terminal_locked(const SolveOutcome& outcome) MALSCHED_REQUIRES(mutex_);
 
   ServiceConfig options_;
+  OverloadPolicy overload_;
+  QueueDiscipline discipline_;
   const SolverRegistry* registry_;
   SolveCache cache_;  ///< internally synchronized (own mutex)
+  /// Fixed at construction, read without the lock; workers_ (the joinable
+  /// handles) is claimed under the lock by exactly one shutdown() caller.
+  unsigned thread_count_;
 
   mutable Mutex mutex_;
   CondVar done_cv_;  ///< wait()/drain(): "a slot turned terminal"
+  CondVar work_cv_;  ///< workers: "an entry was pushed, or intake stopped"
   /// Slot id == ticket id (kept for poll()).
   std::deque<Slot> slots_ MALSCHED_GUARDED_BY(mutex_);
   std::uint64_t next_delivery_ MALSCHED_GUARDED_BY(mutex_){0};
@@ -410,16 +401,13 @@ class SchedulerService {
   /// shed_oldest scan cursor: every slot below it is known non-queued
   /// (states only move forward), so repeated sheds stay amortized O(1).
   std::uint64_t shed_hint_ MALSCHED_GUARDED_BY(mutex_){0};
-  /// Dispatch-order structures (exactly one is used, per queue_discipline;
-  /// see run_next() for the closure/entry accounting). Entries are lazily
-  /// invalidated: a job that turns terminal while queued (cancel, shed,
-  /// shutdown) leaves its entry behind and the dequeue skips it.
-  /// fifo: ticket ids in submission order.
-  std::deque<std::uint64_t> ready_fifo_ MALSCHED_GUARDED_BY(mutex_);
-  /// edf: min-heap on (deadline, ticket) -- deadline-less entries carry +inf
-  /// so they sort behind every dated one, and the ticket tiebreak keeps
-  /// equal keys in submission order.
-  std::vector<ReadyEntry> ready_edf_ MALSCHED_GUARDED_BY(mutex_);
+  /// The one dispatch queue: a min-heap on (key, ticket). Under edf the key
+  /// is the merged deadline, +inf for deadline-less jobs (behind every dated
+  /// one); under fifo every key is +inf, so the ticket tiebreak alone gives
+  /// submission order. Entries are lazily invalidated: a job that turns
+  /// terminal while queued (cancel, shed, shutdown) leaves its entry behind
+  /// and the pop skips it.
+  std::vector<ReadyEntry> ready_ MALSCHED_GUARDED_BY(mutex_);
   /// Cache lookup/insert exceptions absorbed. Atomic, not mutex_-guarded:
   /// peek_cache() runs on the submit thread without mutex_ by design.
   std::atomic<std::uint64_t> cache_failures_{0};
@@ -443,7 +431,9 @@ class SchedulerService {
   /// under the lock and invokes it outside (documented there).
   ResultCallback callback_ MALSCHED_GUARDED_BY(mutex_);
 
-  WorkerPool pool_;  ///< last member: destroyed (joined) before the state above
+  /// Last member: started once everything above is initialized, joined by
+  /// shutdown() (the destructor calls it) before any of it is destroyed.
+  std::vector<std::thread> workers_ MALSCHED_GUARDED_BY(mutex_);
 };
 
 }  // namespace malsched

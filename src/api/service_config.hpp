@@ -8,15 +8,13 @@
 ///
 /// Both tiers construct from it identically -- `SchedulerService(config)`
 /// and `ShardedSchedulerService(config, shards)` (where `config` describes
-/// EACH shard: per-shard worker threads, per-shard cache budget). Before
-/// v2.1 these knobs lived in a growing `ServiceOptions` pile with no
-/// validation: a nonsensical combination (negative TTL, cache enabled with a
-/// zero entry budget) silently produced a service that behaved like a
-/// different configuration. ServiceConfig keeps the same fields and
-/// defaults -- `ServiceOptions` remains as a documented alias, so existing
-/// call sites compile unchanged -- and adds validate(): services call
-/// ensure_valid() at construction and reject bad configs with one readable
-/// std::invalid_argument listing EVERY violation, not just the first.
+/// EACH shard: per-shard worker threads, per-shard cache budget). A
+/// nonsensical combination (negative TTL, cache enabled with a zero entry
+/// budget) must not silently produce a service that behaves like a
+/// different configuration, so services call ensure_valid() at construction
+/// and reject bad configs with one readable std::invalid_argument listing
+/// EVERY violation, not just the first. The string-valued knobs
+/// (overload_policy, queue_discipline) are parsed once, at construction.
 namespace malsched {
 
 class SolverRegistry;
@@ -83,7 +81,7 @@ struct ServiceConfig {
   /// Submit-time small-instance fast path: a request whose instance has at
   /// most this many tasks is solved synchronously ON THE SUBMITTING THREAD,
   /// bypassing the queue, admission control, and the worker round trip; its
-  /// outcome carries `fast_path` provenance (worker -1, off-pool) and the
+  /// outcome carries `fast_path` provenance (worker -1, off the workers) and the
   /// slot is born terminal. The cache is still consulted (and populated)
   /// with normal hit/miss accounting; in-flight dedup is skipped -- an
   /// inline solve cannot wait on a leader. 0 = off (the default). Signed so

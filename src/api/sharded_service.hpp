@@ -18,7 +18,7 @@
 /// served QPS (measured by bench_suite's `contention` family). This tier
 /// removes the global serialization point by construction instead of by
 /// lock-splitting: each shard owns a complete serving stack (its own
-/// SolveCache, in-flight dedup table, WorkerPool, and slot/delivery state),
+/// SolveCache, in-flight dedup table, worker threads, and slot/delivery state),
 /// and shards share NOTHING. There is deliberately no mutex in this class at
 /// all; every member is immutable after construction, so all locking lives
 /// inside the shards, where PR 6's annotated Mutex/GUARDED_BY vocabulary
@@ -38,7 +38,7 @@
 ///    tickets are opaque: unlike the single-service tier they are neither
 ///    dense nor globally ordered (per-shard ticket order still holds).
 ///  * **Determinism.** Every outcome is byte-identical to the same request
-///    on an unsharded service (and to solve_batch), independent of shard
+///    on an unsharded service (and to a serial registry solve), independent of shard
 ///    and worker counts -- solvers are deterministic functions of
 ///    (instance, options), and caches/dedup only ever serve equal-content
 ///    results. Provenance (`shard`, `worker`, wall times, ticket ids) is
@@ -52,7 +52,7 @@
 ///
 /// Lifecycle mirrors SchedulerService: drain() finishes everything
 /// submitted on every shard, shutdown() (also the destructor) stops intake
-/// and joins every pool; both fan out shard by shard. Outcomes stay
+/// and joins every shard's workers; both fan out shard by shard. Outcomes stay
 /// poll()-able after shutdown until destruction.
 namespace malsched {
 

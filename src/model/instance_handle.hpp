@@ -7,7 +7,7 @@
 
 /// Content-addressed identity for instances entering the serving stack.
 ///
-/// Every layer above the model (registry, cache, batch engine, service)
+/// Every layer above the model (registry, cache, service)
 /// needs three things from an instance besides its tasks: a stable identity
 /// ("is this the same problem I already solved?"), a content fingerprint to
 /// key caches and dedup maps, and the static makespan lower bound the facade

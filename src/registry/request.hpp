@@ -19,20 +19,19 @@
 /// solve, cache hit, or dedup join), by which worker, and what it cost the
 /// serving path.
 ///
-/// Registry (`SolverRegistry::solve(request)`), closed batches
-/// (`solve_batch(requests)`), and the long-lived service
-/// (`SchedulerService::submit(request)`) all accept SolveRequest directly;
-/// the pre-v2 `Instance`/`BatchJob` entry points remain as thin interning
-/// shims (each shim call re-fingerprints -- intern once and reuse the handle
-/// to stay on the zero-re-hash path).
+/// The registry (`SolverRegistry::solve(request)`) and the service
+/// (`SchedulerService::submit(request)`, one request or a closed batch)
+/// both accept SolveRequest directly; the registry's pre-v2
+/// `solve("name", instance)` entry point remains as a thin interning shim
+/// (each shim call re-fingerprints -- intern once and reuse the handle to
+/// stay on the zero-re-hash path).
 namespace malsched {
 
-/// Terminal status of one request, shared by batch items and service
-/// outcomes so the two compare directly.
+/// Terminal status of one request.
 enum class SolveStatus {
   kOk,         ///< solved and validated
   kError,      ///< the solve threw; `error` holds the message
-  kCancelled,  ///< skipped: cancellation (or stop_on_error) fired first
+  kCancelled,  ///< cancel() or shutdown() fired first
 };
 
 [[nodiscard]] std::string to_string(SolveStatus status);
@@ -44,8 +43,8 @@ enum class SolveErrorCode {
   kNone,           ///< no error (status == kOk)
   kInvalidOption,  ///< rejected before dispatch: unknown solver, unknown
                    ///< option key, or a value outside its declared spec
-  kCancelled,      ///< cancelled by the caller (cancel(), CancelToken,
-                   ///< stop_on_error) before or during the solve
+  kCancelled,      ///< cancelled by the caller (cancel(), CancelToken)
+                   ///< before or during the solve
   kSolverFailure,  ///< the dispatched solver threw
   kShutdown,       ///< cancelled because the service shut down with the
                    ///< request still pending
@@ -56,11 +55,11 @@ enum class SolveErrorCode {
 };
 
 /// "none", "invalid_option", "cancelled", "solver_failure", "shutdown",
-/// "deadline_exceeded", "rejected" -- the spellings batch_json serializes as
+/// "deadline_exceeded", "rejected" -- the spellings outcome_json serializes as
 /// `error_code`.
 [[nodiscard]] std::string to_string(SolveErrorCode code);
 
-/// Typed error attached to a terminal SolveOutcome / BatchItem. `detail`
+/// Typed error attached to a terminal SolveOutcome. `detail`
 /// carries the exception text (or is empty for plain cancellations); it is
 /// what the pre-v2.1 string-only `error` field used to hold.
 struct SolveError {
@@ -77,8 +76,8 @@ struct SolveError {
 /// support/cancellation.hpp -- the cooperative checks inside running solves
 /// throw them), std::invalid_argument (the registry's rejection type for
 /// unknown solvers/options and the option validators' for bad values)
-/// kInvalidOption, anything else kSolverFailure. Shared by the batch engine
-/// and the service so equal failures classify identically everywhere.
+/// kInvalidOption, anything else kSolverFailure. Shared by the service's
+/// worker and fast paths so equal failures classify identically everywhere.
 [[nodiscard]] SolveError classify_solve_exception(const std::exception& err);
 
 struct SolveRequest {
@@ -114,7 +113,7 @@ struct SolveRequest {
 /// Terminal outcome of one request: the result (engaged iff kOk) plus the
 /// provenance of how it was served.
 struct SolveOutcome {
-  std::uint64_t ticket{0};  ///< service ticket / batch index that produced it
+  std::uint64_t ticket{0};  ///< service ticket that produced it
   SolveStatus status{SolveStatus::kCancelled};
   std::optional<SolverResult> result;  ///< engaged iff status == kOk
   /// Typed error; code != kNone iff status != kOk. `error.detail` holds the
@@ -133,12 +132,12 @@ struct SolveOutcome {
   /// queue or touched a worker. Mutually exclusive with cache_hit and
   /// dedup_join -- a fast-path probe that hits the cache reports cache_hit.
   bool fast_path{false};
-  /// Pool worker that produced (or served) the result; -1 when the outcome
-  /// was produced off-pool (cancellation, shutdown, or a submit-time cache
-  /// hit served inline on the submitting thread).
+  /// Service worker that produced (or served) the result; -1 when the
+  /// outcome was produced off the workers (cancellation, shutdown, or a
+  /// submit-time cache hit served inline on the submitting thread).
   int worker{-1};
   /// ShardedSchedulerService shard that served the request; -1 when the
-  /// outcome came from an unsharded tier (plain service, closed batch).
+  /// outcome came from the unsharded tier.
   int shard{-1};
   /// Worker-observed seconds from dequeue to completion (steady clock);
   /// near-zero for cache hits, and for dedup joins the time spent waiting on

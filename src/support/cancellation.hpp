@@ -9,9 +9,8 @@
 ///
 /// Three pieces:
 ///
-///  * **CancelToken** -- a shared advisory flag (moved here from
-///    exec/batch_runner.hpp, where the batch engine introduced it). Copies
-///    share one underlying atomic, so a caller hands a token into a running
+///  * **CancelToken** -- a shared advisory flag. Copies share one
+///    underlying atomic, so a caller hands a token into a running
 ///    solve and fires it from another thread.
 ///  * **CancelCheck** -- the per-solve probe the hot loops actually carry: a
 ///    borrowed token pointer plus an absolute steady-clock deadline, checked

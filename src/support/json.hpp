@@ -6,8 +6,8 @@
 
 /// Minimal streaming JSON emitter for machine-readable artifacts.
 ///
-/// The bench harness writes BENCH_<rev>.json and the batch engine serializes
-/// reports for determinism comparisons, but the repo takes no third-party
+/// The bench harness writes BENCH_<rev>.json and api/outcome_json serializes
+/// outcomes for determinism comparisons, but the repo takes no third-party
 /// dependencies -- so this is a small RFC 8259 writer with the properties
 /// those consumers need: insertion-order keys, deterministic number
 /// rendering (identical input bits produce identical text, which is what the

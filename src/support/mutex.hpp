@@ -31,19 +31,12 @@
 /// has a cycle -- or when an observed ordering is not declared below, which
 /// keeps this list the reviewed source of truth rather than an after-the-
 /// fact inventory. Keys are `Class::member`; arrows read "may be held while
-/// acquiring". Current hierarchy (one edge):
+/// acquiring", declared as `// lint:lock-order(A::mutex_ -> B::mutex_)`.
 ///
-///   * SchedulerService::mutex_ -> WorkerPool::mutex_
-///     enqueue_locked() posts the run_next trampoline to the worker pool
-///     while holding the service state lock; WorkerPool::post takes the
-///     pool's own queue lock to enqueue. The pool never calls back into the
-///     service synchronously (worker lambdas run later, on pool threads),
-///     so the edge is one-way by construction.
-///
-/// Everything else (SolveCache::mutex_, the instance-intern table, the
-/// failpoint registry) is a leaf: taken with nothing else held.
-///
-// lint:lock-order(SchedulerService::mutex_ -> WorkerPool::mutex_)
+/// Current hierarchy: none. Every mutex -- SchedulerService::mutex_ (whose
+/// workers wait on it directly), SolveCache::mutex_, the instance-intern
+/// table, the failpoint registry -- is a leaf: taken with nothing else
+/// held. A change that nests two of them must declare the edge here.
 namespace malsched {
 
 class CondVar;

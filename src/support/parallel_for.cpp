@@ -10,12 +10,19 @@
 
 namespace malsched {
 
+namespace {
+
+/// The worker count for `count` items: `threads == 0` means
+/// hardware_concurrency, clamped to `count` (extra workers would only
+/// idle), at least 1 when there is work.
 unsigned resolve_worker_count(std::size_t count, unsigned threads) {
   if (count == 0) return 0;
   const unsigned workers =
       threads != 0 ? threads : std::max(1u, std::thread::hardware_concurrency());
   return static_cast<unsigned>(std::min<std::size_t>(workers, count));
 }
+
+}  // namespace
 
 void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body,
                   unsigned threads) {

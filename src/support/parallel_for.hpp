@@ -16,13 +16,6 @@
 /// distinct index.
 namespace malsched {
 
-/// The worker count parallel_for will actually use for `count` items:
-/// `threads == 0` means hardware_concurrency, clamped to `count` (extra
-/// workers would only idle), at least 1 when there is work. Exposed so
-/// callers that report the worker count (exec/BatchRunner) stay coupled to
-/// the real policy.
-[[nodiscard]] unsigned resolve_worker_count(std::size_t count, unsigned threads);
-
 /// Runs body(i) for every i in [0, count) across up to `threads` workers.
 ///
 /// Work is divided into contiguous blocks; `body` must be safe to call

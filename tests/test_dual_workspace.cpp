@@ -15,7 +15,7 @@
 #include <tuple>
 #include <vector>
 
-#include "api/solve_batch.hpp"
+#include "api/scheduler_service.hpp"
 #include "core/canonical.hpp"
 #include "core/dual_workspace.hpp"
 #include "core/mrt_scheduler.hpp"
@@ -176,34 +176,32 @@ TEST(DualWorkspace, CanonicalAllotmentAndAreaMatchOnPlateauProfiles) {
 
 TEST(DualWorkspace, BatchResultsAreIdenticalAcrossThreadCounts) {
   // The production fan-out: every thread count must produce the schedules
-  // and bounds of the synchronous solve, with and without the snapped search.
-  std::vector<std::shared_ptr<const Instance>> instances;
+  // and bounds of the synchronous solve, with and without the snapped search
+  // (same-instance misses on one worker also reuse its workspace).
+  std::vector<SolveRequest> requests;
   Rng rng(4242);
   for (const auto family : all_workload_families()) {
     GeneratorOptions options;
     options.tasks = 20;
     options.machines = 10;
-    instances.push_back(
-        std::make_shared<const Instance>(generate_instance(family, options, rng.fork_seed())));
-  }
-
-  std::vector<BatchJob> jobs;
-  for (const auto& instance : instances) {
-    jobs.push_back({"mrt", SolverOptions::from_string(""), instance});
-    jobs.push_back({"mrt", SolverOptions::from_string("snap=1"), instance});
+    const auto handle = InstanceHandle::intern(generate_instance(family, options, rng.fork_seed()));
+    requests.emplace_back("mrt", SolverOptions::from_string(""), handle);
+    requests.emplace_back("mrt", SolverOptions::from_string("snap=1"), handle);
   }
 
   for (const unsigned threads : {1u, 2u, 8u}) {
-    BatchRunnerOptions options;
-    options.threads = threads;
-    const auto report = solve_batch(jobs, options);
-    ASSERT_EQ(report.errors, 0);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const auto& batch = report.items[i].result;
+    ServiceConfig config;
+    config.threads = threads;
+    SchedulerService service(config);
+    const auto tickets = service.submit(requests);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const auto outcome = service.wait(tickets[i]);
+      ASSERT_EQ(outcome.status, SolveStatus::kOk);
+      const auto& batch = outcome.result;
       ASSERT_TRUE(batch);
-      const auto direct = solve(jobs[i].solver, *jobs[i].instance, jobs[i].options);
+      const auto direct = SolverRegistry::global().solve(requests[i]);
       const std::string what =
-          "job " + std::to_string(i) + " threads " + std::to_string(threads);
+          "request " + std::to_string(i) + " threads " + std::to_string(threads);
       EXPECT_EQ(batch->makespan, direct.makespan) << what;
       EXPECT_EQ(batch->lower_bound, direct.lower_bound) << what;
       EXPECT_EQ(batch->ratio, direct.ratio) << what;

@@ -18,10 +18,10 @@
 #include <utility>
 #include <vector>
 
+#include "api/outcome_json.hpp"
 #include "api/scheduler_service.hpp"
 #include "api/sharded_service.hpp"
 #include "registry/solver_registry.hpp"
-#include "exec/batch_json.hpp"
 #include "support/cancellation.hpp"
 #include "support/mutex.hpp"
 #include "workload/generators.hpp"
@@ -115,7 +115,7 @@ TEST(EdfDiscipline, DispatchesEarliestDeadlineFirstUnderSaturation) {
   // with budgets deliberately OUT of deadline order (and one deadline-less
   // job first, which EDF must hold until last). Task counts 10/11/12/13
   // tag the jobs in the dispatch log.
-  static_cast<void>(service.submit({"pollgate", {}, small_instance(1)}));
+  static_cast<void>(service.submit({"pollgate", {}, InstanceHandle::intern(small_instance(1))}));
   gate->wait_entered();
   SolveRequest no_deadline{"record", {}, InstanceHandle::intern(small_instance(2, 10))};
   SolveRequest late{"record", {}, InstanceHandle::intern(small_instance(3, 11))};
@@ -136,6 +136,39 @@ TEST(EdfDiscipline, DispatchesEarliestDeadlineFirstUnderSaturation) {
   EXPECT_EQ(log->snapshot(), (std::vector<int>{12, 13, 11, 10}));
 }
 
+// The other half of the one-heap contract: under "fifo" every entry keys
+// +inf, so budgets submitted out of deadline order still dispatch in ticket
+// order (a heap that keyed fifo entries by deadline would run 12, 13, 10,
+// 11 here).
+TEST(FifoDiscipline, IgnoresDeadlinesAndDispatchesInTicketOrder) {
+  const auto gate = std::make_shared<PollGate>();
+  const auto log = std::make_shared<DispatchLog>();
+  const auto registry = edf_registry(gate, log);
+  ServiceConfig config;
+  config.threads = 1;
+  config.registry = &registry;
+  config.queue_discipline = "fifo";
+  SchedulerService service(config);
+
+  static_cast<void>(service.submit({"pollgate", {}, InstanceHandle::intern(small_instance(12))}));
+  gate->wait_entered();
+  SolveRequest late{"record", {}, InstanceHandle::intern(small_instance(13, 10))};
+  late.budget_seconds = 3600.0;
+  SolveRequest no_deadline{"record", {}, InstanceHandle::intern(small_instance(14, 11))};
+  SolveRequest early{"record", {}, InstanceHandle::intern(small_instance(15, 12))};
+  early.budget_seconds = 900.0;
+  SolveRequest middle{"record", {}, InstanceHandle::intern(small_instance(16, 13))};
+  middle.budget_seconds = 1800.0;
+  static_cast<void>(service.submit(std::move(late)));
+  static_cast<void>(service.submit(std::move(no_deadline)));
+  static_cast<void>(service.submit(std::move(early)));
+  static_cast<void>(service.submit(std::move(middle)));
+
+  gate->open.store(true);
+  service.drain();
+  EXPECT_EQ(log->snapshot(), (std::vector<int>{10, 11, 12, 13}));
+}
+
 TEST(EdfDiscipline, EqualDeadlinesBreakTiesByTicket) {
   const auto gate = std::make_shared<PollGate>();
   const auto log = std::make_shared<DispatchLog>();
@@ -146,7 +179,7 @@ TEST(EdfDiscipline, EqualDeadlinesBreakTiesByTicket) {
   config.queue_discipline = "edf";
   SchedulerService service(config);
 
-  static_cast<void>(service.submit({"pollgate", {}, small_instance(6)}));
+  static_cast<void>(service.submit({"pollgate", {}, InstanceHandle::intern(small_instance(6))}));
   gate->wait_entered();
   // One shared ABSOLUTE deadline: merged keys are bit-equal, so the heap
   // must fall back to ticket order.
@@ -175,22 +208,14 @@ TEST(EdfDiscipline, WithoutDeadlinesMatchesFifoByteIdentically) {
     config.cache = false;
     config.queue_discipline = discipline;
     SchedulerService service(config);
-    BatchReport report;
-    service.on_result([&report](const SolveOutcome& outcome) {
-      BatchItem item;
-      item.index = outcome.ticket;
-      item.status = outcome.status;
-      item.result = outcome.result;
-      item.error = outcome.error;
-      report.items.push_back(std::move(item));
-      ++report.ok;
-    });
+    std::vector<SolveOutcome> streamed;
+    service.on_result([&streamed](const SolveOutcome& outcome) { streamed.push_back(outcome); });
     static_cast<void>(service.submit(requests));
     service.drain();
-    BatchJsonOptions json;
+    OutcomeJsonOptions json;
     json.include_timing = false;
     json.include_schedules = true;
-    return batch_report_json(report, json);
+    return outcomes_json(streamed, json);
   };
   EXPECT_EQ(run("edf"), run("fifo"));
 }
@@ -207,7 +232,7 @@ TEST(EdfDiscipline, ShedOldestEvictsTheOldestTicketNotTheLatestDeadline) {
   config.overload_policy = "shed_oldest";
   SchedulerService service(config);
 
-  static_cast<void>(service.submit({"pollgate", {}, small_instance(8)}));
+  static_cast<void>(service.submit({"pollgate", {}, InstanceHandle::intern(small_instance(8))}));
   gate->wait_entered();
   // The oldest queued job carries the EARLIEST deadline: shed_oldest must
   // still evict it (shedding is age-based admission control, not a deadline
@@ -320,7 +345,7 @@ TEST(ServiceGauges, QueueDepthHighWaterTracksTheDeepestQueue) {
   SchedulerService service(config);
 
   EXPECT_EQ(service.stats().queue_depth_high_water, 0u);
-  static_cast<void>(service.submit({"pollgate", {}, small_instance(30)}));
+  static_cast<void>(service.submit({"pollgate", {}, InstanceHandle::intern(small_instance(30))}));
   gate->wait_entered();
   for (std::uint64_t i = 0; i < 3; ++i) {
     static_cast<void>(

@@ -34,6 +34,10 @@ Instance small_instance(std::uint64_t seed, int tasks = 16, int machines = 8) {
   return generate_instance(families[seed % families.size()], options, seed);
 }
 
+InstanceHandle small_handle(std::uint64_t seed) {
+  return InstanceHandle::intern(small_instance(seed));
+}
+
 Schedule sequential_schedule(const Instance& instance) {
   Schedule schedule(instance.machines(), instance.size());
   double t = 0.0;
@@ -291,10 +295,10 @@ TEST_F(ServiceFaults, ShutdownMidDrainLeavesNoHangAndExactCounts) {
   config.registry = &registry;
   SchedulerService service(config);
 
-  const auto running = service.submit({"pollgate", {}, small_instance(40)});
+  const auto running = service.submit({"pollgate", {}, small_handle(40)});
   std::vector<JobTicket> queued;
   for (int i = 0; i < 4; ++i) {
-    queued.push_back(service.submit({"seq", {}, small_instance(41 + i)}));
+    queued.push_back(service.submit({"seq", {}, small_handle(41 + i)}));
   }
   gate->wait_entered();
 
@@ -337,7 +341,7 @@ TEST_F(Deadlines, CancelStopsARunningSolve) {
   config.registry = &registry;
   SchedulerService service(config);
 
-  const auto ticket = service.submit({"pollgate", {}, small_instance(50)});
+  const auto ticket = service.submit({"pollgate", {}, small_handle(50)});
   gate->wait_entered();
   EXPECT_TRUE(service.cancel(ticket));  // running: fires the token
   const SolveOutcome outcome = service.wait(ticket);
@@ -373,7 +377,7 @@ TEST_F(Deadlines, QueueWaitCountsAgainstTheBudget) {
   config.registry = &registry;
   SchedulerService service(config);
 
-  const auto blocker = service.submit({"pollgate", {}, small_instance(52)});
+  const auto blocker = service.submit({"pollgate", {}, small_handle(52)});
   gate->wait_entered();
   SolveRequest request{"seq", {}, InstanceHandle::intern(small_instance(53))};
   request.budget_seconds = 0.01;
@@ -390,15 +394,17 @@ TEST_F(Deadlines, QueueWaitCountsAgainstTheBudget) {
 }
 
 // The acceptance check: a 10k-task mrt solve under a 50 ms budget returns
-// deadline_exceeded well before normal completion. The stairs family on a
-// wide machine count is the slowest point of the generator grid for mrt
-// (~300 ms uncancelled here, measured at 6x the budget).
+// deadline_exceeded well before normal completion. With the default options
+// the O(log m) list placement finishes this instance in about 50 ms, so the
+// solve would race the budget; the tightest epsilon (more dual steps) and
+// pick_best_branch (every branch per step) keep the uncancelled solve near
+// 0.5 s on a 4-vCPU VM, about 10x the budget.
 TEST_F(Deadlines, LargeMrtSolveHonorsA50msBudget) {
   SchedulerService service;  // global registry, real mrt
   GeneratorOptions generator;
   generator.tasks = 10'000;
   generator.machines = 1024;
-  SolveRequest request{"mrt", {},
+  SolveRequest request{"mrt", SolverOptions::from_string("epsilon=1e-9,pick_best_branch=1"),
                        InstanceHandle::intern(generate_instance(
                            WorkloadFamily::kStairs, generator, /*seed=*/54))};
   request.budget_seconds = 0.05;
@@ -443,11 +449,11 @@ TEST_F(Admission, RejectTurnsOverflowTerminalImmediately) {
   config.overload_policy = "reject";
   SchedulerService service(config);
 
-  const auto running = service.submit({"pollgate", {}, small_instance(60)});
+  const auto running = service.submit({"pollgate", {}, small_handle(60)});
   gate->wait_entered();  // worker busy; the queue is empty again
-  const auto queued_a = service.submit({"seq", {}, small_instance(61)});
-  const auto queued_b = service.submit({"seq", {}, small_instance(62)});
-  const auto refused = service.submit({"seq", {}, small_instance(63)});
+  const auto queued_a = service.submit({"seq", {}, small_handle(61)});
+  const auto queued_b = service.submit({"seq", {}, small_handle(62)});
+  const auto refused = service.submit({"seq", {}, small_handle(63)});
 
   const auto outcome = service.poll(refused);  // terminal without dispatch
   ASSERT_TRUE(outcome.has_value());
@@ -477,11 +483,11 @@ TEST_F(Admission, ShedOldestEvictsTheOldestQueuedJob) {
   config.overload_policy = "shed_oldest";
   SchedulerService service(config);
 
-  const auto running = service.submit({"pollgate", {}, small_instance(64)});
+  const auto running = service.submit({"pollgate", {}, small_handle(64)});
   gate->wait_entered();
-  const auto oldest = service.submit({"seq", {}, small_instance(65)});
-  const auto kept = service.submit({"seq", {}, small_instance(66)});
-  const auto admitted = service.submit({"seq", {}, small_instance(67)});
+  const auto oldest = service.submit({"seq", {}, small_handle(65)});
+  const auto kept = service.submit({"seq", {}, small_handle(66)});
+  const auto admitted = service.submit({"seq", {}, small_handle(67)});
 
   const auto shed = service.poll(oldest);  // evicted in favor of `admitted`
   ASSERT_TRUE(shed.has_value());
@@ -510,12 +516,12 @@ TEST_F(Admission, DegradeAnswersOverflowWithTheFallbackSolver) {
   config.fallback_solver = "seq";
   SchedulerService service(config);
 
-  const auto running = service.submit({"pollgate", {}, small_instance(68)});
+  const auto running = service.submit({"pollgate", {}, small_handle(68)});
   gate->wait_entered();
-  const auto normal = service.submit({"slowpoll", {}, small_instance(69)});
+  const auto normal = service.submit({"slowpoll", {}, small_handle(69)});
   // Past the watermark: admitted, but flagged to run "seq" instead of the
   // 10 s "slowpoll" it asked for.
-  const auto degraded = service.submit({"slowpoll", {}, small_instance(70)});
+  const auto degraded = service.submit({"slowpoll", {}, small_handle(70)});
   // Unblock: cancel the honest slowpoll (it would run 10 s) and release.
   EXPECT_TRUE(service.cancel(normal));
   gate->open.store(true);

@@ -1,6 +1,6 @@
-// Tests for the SchedulerService front end (src/api/scheduler_service.*),
-// the content-hash SolveCache behind it, and the exec/WorkerPool it runs on:
-// ordered streaming byte-identical to solve_batch, cache hit/eviction
+// Tests for the SchedulerService front end (src/api/scheduler_service.*)
+// and the content-hash SolveCache behind it: ordered streaming
+// byte-identical to serial registry solves, cache hit/eviction
 // accounting, per-worker workspace reuse, cancellation mid-stream, and
 // graceful shutdown with pending jobs.
 
@@ -9,7 +9,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -17,12 +20,11 @@
 #include <utility>
 #include <vector>
 
+#include "api/outcome_json.hpp"
 #include "api/scheduler_service.hpp"
-#include "api/solve_batch.hpp"
 #include "api/solve_cache.hpp"
-#include "exec/batch_json.hpp"
-#include "exec/worker_pool.hpp"
 #include "support/mutex.hpp"
+#include "support/rng.hpp"
 #include "workload/generators.hpp"
 
 namespace malsched {
@@ -36,48 +38,44 @@ Instance small_instance(std::uint64_t seed, int tasks = 16, int machines = 8) {
   return generate_instance(families[seed % families.size()], options, seed);
 }
 
+InstanceHandle small_handle(std::uint64_t seed, int tasks = 16, int machines = 8) {
+  return InstanceHandle::intern(small_instance(seed, tasks, machines));
+}
+
 /// A mixed batch plus exact-duplicate tails (the duplicates share the
-/// instance AND the options, so they are cache-hit material). mrt jobs all
-/// use distinct instances: same-instance mrt misses legitimately report
+/// instance AND the options, so they are cache-hit material). mrt requests
+/// all use distinct instances: same-instance mrt misses legitimately report
 /// different workspace audit deltas, which the byte-compare here must not
 /// see (covered by WorkspaceReuse* below instead).
-std::vector<BatchJob> mixed_jobs_with_duplicates(std::size_t base_count) {
+std::vector<SolveRequest> mixed_requests_with_duplicates(std::size_t base_count) {
   const std::vector<std::pair<std::string, std::string>> configs{
       {"mrt", ""},
       {"two_phase", "rigid=ffdh"},
       {"naive", "policy=lpt-seq"},
       {"two_shelves_32", ""},
   };
-  std::vector<BatchJob> jobs;
+  std::vector<SolveRequest> requests;
   for (std::size_t i = 0; i < base_count; ++i) {
     const auto& [solver, spec] = configs[i % configs.size()];
-    jobs.push_back({solver, SolverOptions::from_string(spec), small_instance(200 + i)});
+    requests.emplace_back(solver, SolverOptions::from_string(spec), small_handle(200 + i));
   }
-  // Exact duplicates of two non-mrt jobs (same shared instance, same
-  // options): deterministic cache hits once the original has completed.
-  jobs.push_back({jobs[1].solver, jobs[1].options, jobs[1].instance});
-  jobs.push_back({jobs[2].solver, jobs[2].options, jobs[2].instance});
-  return jobs;
+  // Exact duplicates of two non-mrt requests (same handle, same options):
+  // deterministic cache hits once the original has completed.
+  requests.push_back(requests[1]);
+  requests.push_back(requests[2]);
+  return requests;
 }
 
-/// Outcomes reshaped as a BatchReport so the byte-compare reuses the proven
-/// exec/batch_json serialization.
-BatchReport report_from(const std::vector<JobOutcome>& outcomes) {
-  BatchReport report;
-  for (const auto& outcome : outcomes) {
-    BatchItem item;
-    item.index = outcome.ticket;
-    item.status = outcome.status;
-    item.result = outcome.result;
-    item.error = outcome.error;
-    switch (item.status) {
-      case BatchItemStatus::kOk: ++report.ok; break;
-      case BatchItemStatus::kError: ++report.errors; break;
-      case BatchItemStatus::kCancelled: ++report.cancelled; break;
-    }
-    report.items.push_back(std::move(item));
+/// Serial reference: every request solved on the calling thread through the
+/// global registry, ticket = submission index.
+std::vector<SolveOutcome> serial_outcomes(const std::vector<SolveRequest>& requests) {
+  std::vector<SolveOutcome> outcomes(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    outcomes[i].ticket = i;
+    outcomes[i].status = SolveStatus::kOk;
+    outcomes[i].result = SolverRegistry::global().solve(requests[i]);
   }
-  return report;
+  return outcomes;
 }
 
 /// Two-way latch for the blocking test solver: the test waits for the solve
@@ -139,21 +137,21 @@ SolverRegistry gated_registry(const std::shared_ptr<Gate>& gate) {
 // ------------------------------------------------------- ordered streaming
 
 // The acceptance property: the streamed sequence at 1/2/8 threads is
-// byte-identical to solve_batch on the same jobs (schedules included;
-// timing excluded -- the one legitimately nondeterministic field).
-TEST(SchedulerService, StreamsInTicketOrderByteIdenticalToSolveBatch) {
-  const auto jobs = mixed_jobs_with_duplicates(24);
-  BatchJsonOptions json;
+// byte-identical to serial registry solves of the same requests (schedules
+// included; timing excluded -- the one legitimately nondeterministic field).
+TEST(SchedulerService, StreamsInTicketOrderByteIdenticalToSerialSolves) {
+  const auto jobs = mixed_requests_with_duplicates(24);
+  OutcomeJsonOptions json;
   json.include_timing = false;
   json.include_schedules = true;
-  const std::string reference = batch_report_json(solve_batch(jobs), json);
+  const std::string reference = outcomes_json(serial_outcomes(jobs), json);
 
   for (const unsigned threads : {1u, 2u, 8u}) {
-    ServiceOptions options;
+    ServiceConfig options;
     options.threads = threads;
     SchedulerService service(options);
-    std::vector<JobOutcome> streamed;
-    service.on_result([&streamed](const JobOutcome& outcome) {
+    std::vector<SolveOutcome> streamed;
+    service.on_result([&streamed](const SolveOutcome& outcome) {
       // Delivery is serialized by contract; no lock needed.
       streamed.push_back(outcome);
     });
@@ -165,8 +163,8 @@ TEST(SchedulerService, StreamsInTicketOrderByteIdenticalToSolveBatch) {
     for (std::size_t i = 0; i < streamed.size(); ++i) {
       EXPECT_EQ(streamed[i].ticket, i) << "stream must arrive in ticket order";
     }
-    EXPECT_EQ(batch_report_json(report_from(streamed), json), reference)
-        << "streamed results differ from solve_batch at " << threads << " threads";
+    EXPECT_EQ(outcomes_json(streamed, json), reference)
+        << "streamed results differ from serial solves at " << threads << " threads";
     EXPECT_EQ(service.stats().delivered, jobs.size());
   }
 }
@@ -174,26 +172,26 @@ TEST(SchedulerService, StreamsInTicketOrderByteIdenticalToSolveBatch) {
 TEST(SchedulerService, PollWaitStateLifecycle) {
   const auto gate = std::make_shared<Gate>();
   const auto registry = gated_registry(gate);
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 1;
   options.registry = &registry;
   SchedulerService service(options);
 
-  const auto blocked = service.submit({"gate", {}, small_instance(1)});
+  const auto blocked = service.submit({"gate", {}, small_handle(1)});
   gate->wait_entered();
   EXPECT_EQ(service.state(blocked), JobState::kRunning);
   EXPECT_FALSE(service.poll(blocked).has_value());
 
-  const auto queued = service.submit({"seq", {}, small_instance(2)});
+  const auto queued = service.submit({"seq", {}, small_handle(2)});
   EXPECT_EQ(service.state(queued), JobState::kQueued);
 
   gate->release();
   const auto outcome = service.wait(queued);
-  EXPECT_EQ(outcome.status, BatchItemStatus::kOk);
+  EXPECT_EQ(outcome.status, SolveStatus::kOk);
   EXPECT_EQ(outcome.ticket, queued.id);
   EXPECT_EQ(service.state(queued), JobState::kDone);
   ASSERT_TRUE(service.poll(blocked).has_value() || service.wait(blocked).status ==
-                                                       BatchItemStatus::kOk);
+                                                       SolveStatus::kOk);
 
   const JobTicket bogus{999};
   EXPECT_THROW(static_cast<void>(service.poll(bogus)), std::out_of_range);
@@ -205,17 +203,17 @@ TEST(SchedulerService, PollWaitStateLifecycle) {
 TEST(SchedulerService, ErrorsAreIsolatedPerJob) {
   const auto gate = std::make_shared<Gate>();
   const auto registry = gated_registry(gate);
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 2;
   options.registry = &registry;
   SchedulerService service(options);
-  const auto bad = service.submit({"boom", {}, small_instance(3)});
-  const auto good = service.submit({"seq", {}, small_instance(4)});
+  const auto bad = service.submit({"boom", {}, small_handle(3)});
+  const auto good = service.submit({"seq", {}, small_handle(4)});
   const auto failed = service.wait(bad);
-  EXPECT_EQ(failed.status, BatchItemStatus::kError);
+  EXPECT_EQ(failed.status, SolveStatus::kError);
   EXPECT_EQ(failed.error.code, SolveErrorCode::kSolverFailure);
   EXPECT_NE(failed.error.detail.find("boom"), std::string::npos);
-  EXPECT_EQ(service.wait(good).status, BatchItemStatus::kOk);
+  EXPECT_EQ(service.wait(good).status, SolveStatus::kOk);
   const auto stats = service.stats();
   EXPECT_EQ(stats.failed, 1u);
   EXPECT_EQ(stats.completed, 1u);
@@ -224,31 +222,29 @@ TEST(SchedulerService, ErrorsAreIsolatedPerJob) {
 // ------------------------------------------------------------- solve cache
 
 TEST(SchedulerService, CacheHitIsByteIdenticalAndCounted) {
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 1;
   SchedulerService service(options);
-  const auto instance = std::make_shared<const Instance>(small_instance(7));
-  const BatchJob job{"mrt", SolverOptions::from_string("epsilon=0.05"), instance};
+  const SolveRequest job{"mrt", SolverOptions::from_string("epsilon=0.05"), small_handle(7)};
 
   const auto first = service.wait(service.submit(job));
   const auto second = service.wait(service.submit(job));
-  ASSERT_EQ(first.status, BatchItemStatus::kOk);
-  ASSERT_EQ(second.status, BatchItemStatus::kOk);
+  ASSERT_EQ(first.status, SolveStatus::kOk);
+  ASSERT_EQ(second.status, SolveStatus::kOk);
   EXPECT_FALSE(first.cache_hit);
   EXPECT_TRUE(second.cache_hit);
 
   // The memoized result is the first result, bytes included (stats too --
   // the solvers are deterministic). Tickets naturally differ; normalize them
   // so the compare sees only the payload.
-  BatchJsonOptions json;
+  OutcomeJsonOptions json;
   json.include_timing = false;
   json.include_schedules = true;
   auto first_norm = first;
   auto second_norm = second;
   first_norm.ticket = 0;
   second_norm.ticket = 0;
-  EXPECT_EQ(batch_report_json(report_from({second_norm}), json),
-            batch_report_json(report_from({first_norm}), json));
+  EXPECT_EQ(outcomes_json({second_norm}, json), outcomes_json({first_norm}, json));
 
   const auto stats = service.stats();
   EXPECT_EQ(stats.cache_hits, 1u);
@@ -256,24 +252,23 @@ TEST(SchedulerService, CacheHitIsByteIdenticalAndCounted) {
   EXPECT_EQ(stats.cache_entries, 1u);
 
   // Content addressing: an identical but separately generated instance hits
-  // the same entry (no shared_ptr required).
-  const BatchJob regenerated{"mrt", SolverOptions::from_string("epsilon=0.05"),
-                             small_instance(7)};
+  // the same entry.
+  const SolveRequest regenerated{"mrt", SolverOptions::from_string("epsilon=0.05"),
+                                 small_handle(7)};
   EXPECT_TRUE(service.wait(service.submit(regenerated)).cache_hit);
 }
 
 TEST(SchedulerService, CacheRespectsPerJobOptOutAndServiceSwitch) {
-  const auto instance = std::make_shared<const Instance>(small_instance(9));
-  const BatchJob job{"two_phase", SolverOptions::from_string("rigid=ffdh"), instance};
+  const SolveRequest job{"two_phase", SolverOptions::from_string("rigid=ffdh"), small_handle(9)};
 
   {
-    ServiceOptions options;
+    ServiceConfig options;
     options.threads = 1;
     SchedulerService service(options);
-    SubmitOptions no_cache;
-    no_cache.cache = false;
-    static_cast<void>(service.wait(service.submit(job, no_cache)));
-    const auto repeat = service.wait(service.submit(job, no_cache));
+    SolveRequest no_cache = job;
+    no_cache.use_cache = false;
+    static_cast<void>(service.wait(service.submit(no_cache)));
+    const auto repeat = service.wait(service.submit(no_cache));
     EXPECT_FALSE(repeat.cache_hit);
     const auto stats = service.stats();
     EXPECT_EQ(stats.cache_hits, 0u);
@@ -281,7 +276,7 @@ TEST(SchedulerService, CacheRespectsPerJobOptOutAndServiceSwitch) {
     EXPECT_EQ(stats.cache_entries, 0u);
   }
   {
-    ServiceOptions options;
+    ServiceConfig options;
     options.threads = 1;
     options.cache = false;  // service-wide off switch
     SchedulerService service(options);
@@ -292,13 +287,13 @@ TEST(SchedulerService, CacheRespectsPerJobOptOutAndServiceSwitch) {
 }
 
 TEST(SchedulerService, CacheEvictsLeastRecentlyUsedAndCountsIt) {
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 1;
   options.cache_capacity = 2;
   SchedulerService service(options);
   const auto submit_seed = [&](std::uint64_t seed) {
     return service.wait(service.submit({"naive", SolverOptions::from_string("policy=lpt-seq"),
-                                        small_instance(seed)}));
+                                        small_handle(seed)}));
   };
   static_cast<void>(submit_seed(11));  // cache: {11}
   static_cast<void>(submit_seed(12));  // cache: {12, 11}
@@ -317,17 +312,17 @@ TEST(SchedulerService, CacheEvictsLeastRecentlyUsedAndCountsIt) {
 // except the workspace audit counters (per-solve deltas by contract) is
 // byte-identical to the one-shot path.
 TEST(SchedulerService, WorkspaceReuseKeepsResultsIdenticalModuloAuditCounters) {
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 1;
   SchedulerService service(options);
-  const auto instance = std::make_shared<const Instance>(small_instance(21, 24, 12));
-  const BatchJob first{"mrt", SolverOptions::from_string("epsilon=0.05"), instance};
-  const BatchJob second{"mrt", SolverOptions::from_string("epsilon=0.02"), instance};
+  const auto instance = small_handle(21, 24, 12);
+  const SolveRequest first{"mrt", SolverOptions::from_string("epsilon=0.05"), instance};
+  const SolveRequest second{"mrt", SolverOptions::from_string("epsilon=0.02"), instance};
 
   const auto first_outcome = service.wait(service.submit(first));
   const auto second_outcome = service.wait(service.submit(second));
-  ASSERT_EQ(first_outcome.status, BatchItemStatus::kOk);
-  ASSERT_EQ(second_outcome.status, BatchItemStatus::kOk);
+  ASSERT_EQ(first_outcome.status, SolveStatus::kOk);
+  ASSERT_EQ(second_outcome.status, SolveStatus::kOk);
   EXPECT_FALSE(second_outcome.cache_hit);
   EXPECT_GE(service.stats().workspace_reuses, 1u);
 
@@ -338,23 +333,18 @@ TEST(SchedulerService, WorkspaceReuseKeepsResultsIdenticalModuloAuditCounters) {
     });
     return result;
   };
-  BatchJsonOptions json;
+  OutcomeJsonOptions json;
   json.include_timing = false;
   json.include_schedules = true;
-  for (const auto* pair : {&first, &second}) {
-    const bool is_first = pair == &first;
-    const auto& outcome = is_first ? first_outcome : second_outcome;
-    const auto direct = solve(pair->solver, *pair->instance, pair->options);
-    auto streamed_item = report_from({outcome});
-    streamed_item.items[0].result = strip_audit(*streamed_item.items[0].result);
-    BatchReport direct_report;
-    BatchItem item;
-    item.index = outcome.ticket;
-    item.status = BatchItemStatus::kOk;
-    item.result = strip_audit(direct);
-    direct_report.items.push_back(std::move(item));
-    direct_report.ok = 1;
-    EXPECT_EQ(batch_report_json(streamed_item, json), batch_report_json(direct_report, json));
+  for (const auto* request : {&first, &second}) {
+    const auto& outcome = request == &first ? first_outcome : second_outcome;
+    SolveOutcome streamed;
+    streamed.status = outcome.status;
+    streamed.result = strip_audit(*outcome.result);
+    SolveOutcome direct;
+    direct.status = SolveStatus::kOk;
+    direct.result = strip_audit(SolverRegistry::global().solve(*request));
+    EXPECT_EQ(outcomes_json({streamed}, json), outcomes_json({direct}, json));
   }
 }
 
@@ -389,7 +379,7 @@ TEST(SchedulerService, InFlightDedupCoalescesToOneSolveAtAnyThreadCount) {
     const auto gate = std::make_shared<Gate>();
     const auto solves = std::make_shared<std::atomic<int>>(0);
     const auto registry = counting_gated_registry(gate, solves);
-    ServiceOptions options;
+    ServiceConfig options;
     options.threads = threads;
     options.registry = &registry;
     SchedulerService service(options);
@@ -422,24 +412,24 @@ TEST(SchedulerService, InFlightDedupCoalescesToOneSolveAtAnyThreadCount) {
 
     // Byte-identical outcomes: every ticket's payload serializes exactly
     // like the leader's (tickets normalized; provenance is not payload).
-    BatchJsonOptions json;
+    OutcomeJsonOptions json;
     json.include_timing = false;
     json.include_schedules = true;
-    std::vector<JobOutcome> outcomes;
+    std::vector<SolveOutcome> outcomes;
     for (const auto ticket : tickets) outcomes.push_back(service.wait(ticket));
-    const auto leader = std::find_if(outcomes.begin(), outcomes.end(), [](const JobOutcome& o) {
+    const auto leader = std::find_if(outcomes.begin(), outcomes.end(), [](const SolveOutcome& o) {
       return !o.dedup_join && !o.cache_hit;
     });
     ASSERT_NE(leader, outcomes.end());
     auto leader_norm = *leader;
     leader_norm.ticket = 0;
-    const auto reference = batch_report_json(report_from({leader_norm}), json);
+    const auto reference = outcomes_json({leader_norm}, json);
     for (const auto& outcome : outcomes) {
-      EXPECT_EQ(outcome.status, BatchItemStatus::kOk);
+      EXPECT_EQ(outcome.status, SolveStatus::kOk);
       EXPECT_GE(outcome.worker, 0);
       auto normalized = outcome;
       normalized.ticket = 0;
-      EXPECT_EQ(batch_report_json(report_from({normalized}), json), reference);
+      EXPECT_EQ(outcomes_json({normalized}, json), reference);
     }
   }
 }
@@ -448,7 +438,7 @@ TEST(SchedulerService, CacheOptOutAlsoSkipsDedup) {
   const auto gate = std::make_shared<Gate>();
   const auto solves = std::make_shared<std::atomic<int>>(0);
   const auto registry = counting_gated_registry(gate, solves);
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 2;
   options.registry = &registry;
   SchedulerService service(options);
@@ -472,7 +462,7 @@ TEST(SchedulerService, CacheOptOutAlsoSkipsDedup) {
 // construction, cache lookups, hits, misses, dedup bookkeeping -- reads
 // profile bits again. One intern, one content hash, however many submits.
 TEST(SchedulerService, SubmitPathNeverRehashesProfilesAfterIntern) {
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 1;
   SchedulerService service(options);
 
@@ -495,7 +485,7 @@ TEST(SchedulerService, SubmitPathNeverRehashesProfilesAfterIntern) {
 }
 
 TEST(SchedulerService, VectorSubmitIsAllOrNothingOnInvalidRequests) {
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 1;
   SchedulerService service(options);
   const auto handle = InstanceHandle::intern(small_instance(97));
@@ -508,7 +498,7 @@ TEST(SchedulerService, VectorSubmitIsAllOrNothingOnInvalidRequests) {
 }
 
 TEST(SchedulerService, ProvenanceStampsWorkerAndServingPath) {
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 1;
   SchedulerService service(options);
   const auto handle = InstanceHandle::intern(small_instance(96));
@@ -522,13 +512,13 @@ TEST(SchedulerService, ProvenanceStampsWorkerAndServingPath) {
   const auto hit = service.wait(service.submit(request));
   EXPECT_TRUE(hit.cache_hit);
   EXPECT_FALSE(hit.dedup_join);
-  EXPECT_EQ(hit.worker, -1) << "a submit-time cache hit is served inline, off-pool";
+  EXPECT_EQ(hit.worker, -1) << "a submit-time cache hit is served inline, off the workers";
 }
 
 // ------------------------------------------------------- slot garbage collection
 
 TEST(SchedulerService, GcSlotsReclaimsObservedDeliveredOutcomes) {
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 1;
   options.gc_slots = true;
   SchedulerService service(options);
@@ -538,7 +528,7 @@ TEST(SchedulerService, GcSlotsReclaimsObservedDeliveredOutcomes) {
   const auto second = service.submit(
       SolveRequest{"naive", SolverOptions::from_string("policy=half-speedup"), handle});
 
-  EXPECT_EQ(service.wait(first).status, BatchItemStatus::kOk);  // observed
+  EXPECT_EQ(service.wait(first).status, SolveStatus::kOk);  // observed
   service.drain();  // delivery frontier passes both tickets
 
   // Observed AND delivered -> reclaimed: the outcome is a take-once value.
@@ -549,7 +539,7 @@ TEST(SchedulerService, GcSlotsReclaimsObservedDeliveredOutcomes) {
   // Delivered but never observed -> intact until the first read...
   const auto outcome = service.poll(second);
   ASSERT_TRUE(outcome.has_value());
-  EXPECT_EQ(outcome->status, BatchItemStatus::kOk);
+  EXPECT_EQ(outcome->status, SolveStatus::kOk);
   // ... which reclaims it too.
   EXPECT_THROW(static_cast<void>(service.poll(second)), std::logic_error);
 
@@ -557,7 +547,7 @@ TEST(SchedulerService, GcSlotsReclaimsObservedDeliveredOutcomes) {
 }
 
 TEST(SchedulerService, GcOffKeepsOutcomesReadableForever) {
-  SchedulerService service{ServiceOptions{}};  // gc_slots defaults off
+  SchedulerService service{ServiceConfig{}};  // gc_slots defaults off
   const auto handle = InstanceHandle::intern(small_instance(63));
   const auto ticket =
       service.submit(SolveRequest{"naive", SolverOptions::from_string("policy=lpt-seq"), handle});
@@ -574,16 +564,16 @@ TEST(SchedulerService, GcOffKeepsOutcomesReadableForever) {
 TEST(SchedulerService, CancellationMidStreamDeliversInOrder) {
   const auto gate = std::make_shared<Gate>();
   const auto registry = gated_registry(gate);
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 1;
   options.registry = &registry;
   SchedulerService service(options);
-  std::vector<JobOutcome> streamed;
-  service.on_result([&streamed](const JobOutcome& outcome) { streamed.push_back(outcome); });
+  std::vector<SolveOutcome> streamed;
+  service.on_result([&streamed](const SolveOutcome& outcome) { streamed.push_back(outcome); });
 
-  const auto running = service.submit({"gate", {}, small_instance(31)});
-  const auto pending = service.submit({"seq", {}, small_instance(32)});
-  const auto doomed = service.submit({"seq", {}, small_instance(33)});
+  const auto running = service.submit({"gate", {}, small_handle(31)});
+  const auto pending = service.submit({"seq", {}, small_handle(32)});
+  const auto doomed = service.submit({"seq", {}, small_handle(33)});
   gate->wait_entered();
 
   EXPECT_TRUE(service.cancel(doomed));  // still queued: cancels
@@ -593,7 +583,7 @@ TEST(SchedulerService, CancellationMidStreamDeliversInOrder) {
   EXPECT_TRUE(service.cancel(running));
   // Cancelled outcome is observable immediately via poll ...
   ASSERT_TRUE(service.poll(doomed).has_value());
-  EXPECT_EQ(service.poll(doomed)->status, BatchItemStatus::kCancelled);
+  EXPECT_EQ(service.poll(doomed)->status, SolveStatus::kCancelled);
   // ... but enters the stream only in ticket order, after its predecessors.
   EXPECT_TRUE(streamed.empty());
 
@@ -601,11 +591,11 @@ TEST(SchedulerService, CancellationMidStreamDeliversInOrder) {
   service.drain();
   ASSERT_EQ(streamed.size(), 3u);
   EXPECT_EQ(streamed[0].ticket, running.id);
-  EXPECT_EQ(streamed[0].status, BatchItemStatus::kOk);
+  EXPECT_EQ(streamed[0].status, SolveStatus::kOk);
   EXPECT_EQ(streamed[1].ticket, pending.id);
-  EXPECT_EQ(streamed[1].status, BatchItemStatus::kOk);
+  EXPECT_EQ(streamed[1].status, SolveStatus::kOk);
   EXPECT_EQ(streamed[2].ticket, doomed.id);
-  EXPECT_EQ(streamed[2].status, BatchItemStatus::kCancelled);
+  EXPECT_EQ(streamed[2].status, SolveStatus::kCancelled);
 
   EXPECT_FALSE(service.cancel(pending));  // terminal: refused
   EXPECT_EQ(service.stats().cancelled, 1u);
@@ -638,7 +628,7 @@ TEST(SchedulerService, CancelledLeaderDeliversCancelledOutcomesToJoiners) {
   const auto entered = std::make_shared<std::atomic<bool>>(false);
   const auto open = std::make_shared<std::atomic<bool>>(false);
   const auto registry = polling_registry(entered, open);
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 2;
   options.registry = &registry;
   SchedulerService service(options);
@@ -653,11 +643,11 @@ TEST(SchedulerService, CancelledLeaderDeliversCancelledOutcomesToJoiners) {
   }
 
   EXPECT_TRUE(service.cancel(leader));  // fires the leader's token
-  const JobOutcome leader_outcome = service.wait(leader);
-  EXPECT_EQ(leader_outcome.status, BatchItemStatus::kCancelled);
+  const SolveOutcome leader_outcome = service.wait(leader);
+  EXPECT_EQ(leader_outcome.status, SolveStatus::kCancelled);
   EXPECT_EQ(leader_outcome.error.code, SolveErrorCode::kCancelled);
-  const JobOutcome joined_outcome = service.wait(joiner);
-  EXPECT_EQ(joined_outcome.status, BatchItemStatus::kCancelled);
+  const SolveOutcome joined_outcome = service.wait(joiner);
+  EXPECT_EQ(joined_outcome.status, SolveStatus::kCancelled);
   EXPECT_TRUE(joined_outcome.dedup_join);  // coalesced, not stranded
   EXPECT_EQ(service.stats().cancelled, 2u);
   service.drain();
@@ -669,7 +659,7 @@ TEST(SchedulerService, CancelDetachesAJoinerWithoutDisturbingTheLeader) {
   const auto entered = std::make_shared<std::atomic<bool>>(false);
   const auto open = std::make_shared<std::atomic<bool>>(false);
   const auto registry = polling_registry(entered, open);
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 2;
   options.registry = &registry;
   SchedulerService service(options);
@@ -684,11 +674,11 @@ TEST(SchedulerService, CancelDetachesAJoinerWithoutDisturbingTheLeader) {
   }
 
   EXPECT_TRUE(service.cancel(joiner));
-  const JobOutcome joined_outcome = service.wait(joiner);  // terminal NOW
-  EXPECT_EQ(joined_outcome.status, BatchItemStatus::kCancelled);
+  const SolveOutcome joined_outcome = service.wait(joiner);  // terminal NOW
+  EXPECT_EQ(joined_outcome.status, SolveStatus::kCancelled);
   open->store(true);  // release the (undisturbed) leader
-  const JobOutcome leader_outcome = service.wait(leader);
-  EXPECT_EQ(leader_outcome.status, BatchItemStatus::kOk);
+  const SolveOutcome leader_outcome = service.wait(leader);
+  EXPECT_EQ(leader_outcome.status, SolveStatus::kOk);
   const auto stats = service.stats();
   EXPECT_EQ(stats.cancelled, 1u);
   EXPECT_EQ(stats.completed, 1u);
@@ -697,15 +687,15 @@ TEST(SchedulerService, CancelDetachesAJoinerWithoutDisturbingTheLeader) {
 }
 
 // Regression for the shutdown/drain ordering contract: shutdown() must not
-// return while an OFF-POOL deliverer (here: a submit-time cache hit on a
+// return while an OFF-WORKER deliverer (here: a submit-time cache hit on a
 // caller thread) still has the last streamed callback in flight.
 TEST(SchedulerService, ShutdownWaitsForAnOffPoolDelivererToFinishTheStream) {
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 1;
   SchedulerService service(options);
   std::atomic<bool> in_callback{false};
   std::atomic<int> streamed{0};
-  service.on_result([&](const JobOutcome& outcome) {
+  service.on_result([&](const SolveOutcome& outcome) {
     if (outcome.cache_hit) {
       in_callback.store(true);
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -733,38 +723,120 @@ TEST(SchedulerService, ShutdownWaitsForAnOffPoolDelivererToFinishTheStream) {
 // ServiceConfig::validate() must reject the robustness knobs' invalid
 // combinations at construction, each with a readable message.
 TEST(SchedulerService, ConfigRejectsBadRobustnessKnobs) {
-  ServiceOptions negative_depth;
+  ServiceConfig negative_depth;
   negative_depth.max_queue_depth = -1;
   EXPECT_THROW(SchedulerService{negative_depth}, std::invalid_argument);
 
-  ServiceOptions unknown_policy;
+  ServiceConfig unknown_policy;
   unknown_policy.overload_policy = "drop_everything";
   EXPECT_THROW(SchedulerService{unknown_policy}, std::invalid_argument);
 
-  ServiceOptions degrade_without_fallback;
+  ServiceConfig degrade_without_fallback;
   degrade_without_fallback.overload_policy = "degrade";
   EXPECT_THROW(SchedulerService{degrade_without_fallback}, std::invalid_argument);
 
-  ServiceOptions unregistered_fallback;
+  ServiceConfig unregistered_fallback;
   unregistered_fallback.fallback_solver = "definitely_not_registered";
   EXPECT_THROW(SchedulerService{unregistered_fallback}, std::invalid_argument);
 
-  ServiceOptions good;
+  ServiceConfig good;
   good.max_queue_depth = 4;
   good.overload_policy = "degrade";
   good.fallback_solver = "two_phase";  // registered in the global registry
   EXPECT_NO_THROW(SchedulerService{good});
 }
 
+// Seeded fuzz over every ServiceConfig field: each mutated config is
+// either valid or rejected with std::invalid_argument, and construction
+// agrees with validate(). Services are built with at most two workers (the
+// threads field is clamped for construction only), and every valid one
+// serves one tiny request.
+TEST(ServiceConfigFuzz, MutatedConfigsValidateOrThrowAndConstructionAgrees) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<unsigned> threads{0, 1, 2, 3, ServiceConfig::kMaxThreads,
+                                      ServiceConfig::kMaxThreads + 1, UINT_MAX,
+                                      static_cast<unsigned>(-8)};
+  const std::vector<std::size_t> sizes{0, 1, 2, 1024, SIZE_MAX};
+  const std::vector<double> ttls{0.0, 0.5, 3600.0, -1.0, -0.0,
+                                 std::numeric_limits<double>::quiet_NaN(), kInf, -kInf, 1e300,
+                                 std::numeric_limits<double>::denorm_min()};
+  const std::vector<long long> counts{0, 1, 16, 64, -1, LLONG_MIN, LLONG_MAX};
+  const std::vector<std::string> policies{"reject", "shed_oldest", "degrade", "",
+                                          "REJECT", "drop", "degrade ", "shed-oldest"};
+  const std::vector<std::string> fallbacks{"", "two_phase", "naive", "seq", "no_such_solver",
+                                           "Two_Phase"};
+  const std::vector<std::string> disciplines{"fifo", "edf", "", "lifo", "EDF", " fifo"};
+  SolverRegistry local;
+  local.add("seq", "sequential on processor 0", [](const Instance& instance, const SolverOptions&) {
+    return SolverResult{"", sequential_schedule(instance), 0, 0, 0, 0, {}};
+  });
+  const std::vector<const SolverRegistry*> registries{nullptr, &SolverRegistry::global(), &local};
+  const auto handle = small_handle(98, 4, 2);
+
+  Rng rng(20261020);
+  const auto pick = [&rng](const auto& pool) {
+    return pool[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1))];
+  };
+  int valid = 0;
+  int invalid = 0;
+  for (int round = 0; round < 2000; ++round) {
+    ServiceConfig config;
+    const int mutations = static_cast<int>(rng.uniform_int(1, 4));
+    for (int m = 0; m < mutations; ++m) {
+      switch (rng.uniform_int(0, 13)) {
+        case 0: config.threads = pick(threads); break;
+        case 1: config.cache = !config.cache; break;
+        case 2: config.cache_capacity = pick(sizes); break;
+        case 3: config.cache_max_bytes = pick(sizes); break;
+        case 4: config.cache_ttl_seconds = pick(ttls); break;
+        case 5: config.dedup = !config.dedup; break;
+        case 6: config.gc_slots = !config.gc_slots; break;
+        case 7: config.reuse_workspaces = !config.reuse_workspaces; break;
+        case 8: config.registry = pick(registries); break;
+        case 9: config.max_queue_depth = pick(counts); break;
+        case 10: config.overload_policy = pick(policies); break;
+        case 11: config.fallback_solver = pick(fallbacks); break;
+        case 12: config.queue_discipline = pick(disciplines); break;
+        default: config.fast_path_max_tasks = pick(counts); break;
+      }
+    }
+    const std::string what = "round " + std::to_string(round);
+    if (config.validate().empty()) {
+      EXPECT_NO_THROW(config.ensure_valid()) << what;
+    } else {
+      EXPECT_THROW(config.ensure_valid(), std::invalid_argument) << what;
+    }
+
+    ServiceConfig runnable = config;
+    runnable.threads = 1 + config.threads % 2;
+    if (!runnable.validate().empty()) {
+      ++invalid;
+      EXPECT_THROW(SchedulerService{runnable}, std::invalid_argument) << what;
+      continue;
+    }
+    ++valid;
+    SchedulerService service(runnable);
+    const bool local_registry = runnable.registry == &local;
+    const SolveOutcome outcome = service.wait(service.submit(SolveRequest{
+        local_registry ? "seq" : "naive",
+        SolverOptions::from_string(local_registry ? "" : "policy=lpt-seq"), handle}));
+    EXPECT_EQ(outcome.status, SolveStatus::kOk) << what << ": " << outcome.error.detail;
+  }
+  // Both sides of the contract were exercised in earnest.
+  EXPECT_GT(valid, 200);
+  EXPECT_GT(invalid, 200);
+}
+
 // The documented cancel-inside-the-callback case: delivery is re-entrant
 // (rescan protocol), so cancelling a later queued ticket from the stream
 // neither deadlocks nor breaks ticket order.
 TEST(SchedulerService, CancelFromInsideTheCallbackDoesNotDeadlock) {
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 1;
   SchedulerService service(options);
-  std::vector<std::pair<std::uint64_t, BatchItemStatus>> streamed;
-  service.on_result([&](const JobOutcome& outcome) {
+  std::vector<std::pair<std::uint64_t, SolveStatus>> streamed;
+  service.on_result([&](const SolveOutcome& outcome) {
     streamed.emplace_back(outcome.ticket, outcome.status);
     if (outcome.ticket == 0) {
       // Tickets are dense in submission order, and the atomic three-job
@@ -773,31 +845,31 @@ TEST(SchedulerService, CancelFromInsideTheCallbackDoesNotDeadlock) {
       EXPECT_TRUE(service.cancel(JobTicket{2}));
     }
   });
-  const BatchJob job{"naive", SolverOptions::from_string("policy=lpt-seq"),
-                     std::make_shared<const Instance>(small_instance(81))};
-  static_cast<void>(service.submit({job, job, job}, SubmitOptions{false}));
+  const SolveRequest job{"naive", SolverOptions::from_string("policy=lpt-seq"),
+                         small_handle(81), /*consult_cache=*/false};
+  static_cast<void>(service.submit(std::vector<SolveRequest>{job, job, job}));
   service.drain();
   ASSERT_EQ(streamed.size(), 3u);
-  EXPECT_EQ(streamed[0], (std::pair<std::uint64_t, BatchItemStatus>{0, BatchItemStatus::kOk}));
-  EXPECT_EQ(streamed[1], (std::pair<std::uint64_t, BatchItemStatus>{1, BatchItemStatus::kOk}));
+  EXPECT_EQ(streamed[0], (std::pair<std::uint64_t, SolveStatus>{0, SolveStatus::kOk}));
+  EXPECT_EQ(streamed[1], (std::pair<std::uint64_t, SolveStatus>{1, SolveStatus::kOk}));
   EXPECT_EQ(streamed[2],
-            (std::pair<std::uint64_t, BatchItemStatus>{2, BatchItemStatus::kCancelled}));
+            (std::pair<std::uint64_t, SolveStatus>{2, SolveStatus::kCancelled}));
 }
 
 TEST(SchedulerService, ShutdownWithPendingJobsCancelsThemAndJoins) {
   const auto gate = std::make_shared<Gate>();
   const auto registry = gated_registry(gate);
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 1;
   options.registry = &registry;
   SchedulerService service(options);
-  std::vector<JobOutcome> streamed;
-  service.on_result([&streamed](const JobOutcome& outcome) { streamed.push_back(outcome); });
+  std::vector<SolveOutcome> streamed;
+  service.on_result([&streamed](const SolveOutcome& outcome) { streamed.push_back(outcome); });
 
-  const auto running = service.submit({"gate", {}, small_instance(41)});
+  const auto running = service.submit({"gate", {}, small_handle(41)});
   std::vector<JobTicket> pending;
   for (std::uint64_t s = 0; s < 5; ++s) {
-    pending.push_back(service.submit({"seq", {}, small_instance(42 + s)}));
+    pending.push_back(service.submit({"seq", {}, small_handle(42 + s)}));
   }
   gate->wait_entered();
 
@@ -812,11 +884,11 @@ TEST(SchedulerService, ShutdownWithPendingJobsCancelsThemAndJoins) {
   gate->release();
   stopper.join();
 
-  EXPECT_EQ(service.wait(running).status, BatchItemStatus::kOk);
+  EXPECT_EQ(service.wait(running).status, SolveStatus::kOk);
   for (const auto ticket : pending) {
     const auto outcome = service.poll(ticket);
     ASSERT_TRUE(outcome.has_value());
-    EXPECT_EQ(outcome->status, BatchItemStatus::kCancelled);
+    EXPECT_EQ(outcome->status, SolveStatus::kCancelled);
   }
   ASSERT_EQ(streamed.size(), 1u + pending.size());
   for (std::size_t i = 0; i < streamed.size(); ++i) EXPECT_EQ(streamed[i].ticket, i);
@@ -827,14 +899,14 @@ TEST(SchedulerService, ShutdownWithPendingJobsCancelsThemAndJoins) {
   EXPECT_EQ(stats.cancelled, 5u);
   EXPECT_EQ(stats.delivered, 6u);
 
-  EXPECT_THROW(static_cast<void>(service.submit({"seq", {}, small_instance(50)})),
+  EXPECT_THROW(static_cast<void>(service.submit({"seq", {}, small_handle(50)})),
                std::runtime_error);
   service.shutdown();  // idempotent
 }
 
 TEST(SchedulerService, DrainCoversEverythingSubmittedBeforeTheCall) {
-  SchedulerService service{ServiceOptions{}};
-  const auto jobs = mixed_jobs_with_duplicates(8);
+  SchedulerService service{ServiceConfig{}};
+  const auto jobs = mixed_requests_with_duplicates(8);
   const auto tickets = service.submit(jobs);
   service.drain();
   for (const auto ticket : tickets) {
@@ -845,10 +917,10 @@ TEST(SchedulerService, DrainCoversEverythingSubmittedBeforeTheCall) {
 }
 
 TEST(SchedulerService, OnResultAfterFirstSubmitThrows) {
-  SchedulerService service{ServiceOptions{}};
+  SchedulerService service{ServiceConfig{}};
   static_cast<void>(service.submit({"naive", SolverOptions::from_string("policy=lpt-seq"),
-                                    small_instance(61)}));
-  EXPECT_THROW(service.on_result([](const JobOutcome&) {}), std::logic_error);
+                                    small_handle(61)}));
+  EXPECT_THROW(service.on_result([](const SolveOutcome&) {}), std::logic_error);
   service.drain();
 }
 
@@ -987,8 +1059,8 @@ TEST(SolveCache, ByteBudgetEvictsLruButKeepsASingleOversizedEntry) {
   EXPECT_NE(small_cache.lookup(key_a), nullptr);
 }
 
-TEST(SchedulerService, CacheBudgetsPlumbThroughServiceOptions) {
-  ServiceOptions options;
+TEST(SchedulerService, CacheBudgetsPlumbThroughServiceConfig) {
+  ServiceConfig options;
   options.threads = 1;
   options.cache_max_bytes = 1;  // every second entry exceeds the budget
   SchedulerService service(options);
@@ -1015,63 +1087,6 @@ TEST(SolveCache, ZeroCapacityDisablesEverything) {
   EXPECT_EQ(cache.lookup(key), nullptr);
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.stats().misses, 0u);  // disabled lookups do not count
-}
-
-// --------------------------------------------------------------- WorkerPool
-
-TEST(WorkerPool, RunsTasksInPostOrderPerThreadAndWaitsIdle) {
-  WorkerPool pool(1);
-  std::vector<int> order;
-  for (int i = 0; i < 8; ++i) {
-    pool.post([&order, i] { order.push_back(i); });
-  }
-  pool.wait_idle();
-  ASSERT_EQ(order.size(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-}
-
-TEST(WorkerPool, CurrentWorkerIndexIsStampedOnPoolThreadsOnly) {
-  EXPECT_EQ(WorkerPool::current_worker(), -1);  // the test thread is off-pool
-  WorkerPool pool(2);
-  Mutex mutex;
-  std::vector<int> seen;
-  for (int i = 0; i < 16; ++i) {
-    pool.post([&] {
-      const LockGuard lock(mutex);
-      seen.push_back(WorkerPool::current_worker());
-    });
-  }
-  pool.wait_idle();
-  ASSERT_EQ(seen.size(), 16u);
-  for (const int worker : seen) {
-    EXPECT_GE(worker, 0);
-    EXPECT_LT(worker, 2);
-  }
-}
-
-TEST(WorkerPool, ShutdownDiscardsQueuedTasksAndRejectsNewOnes) {
-  const auto gate = std::make_shared<Gate>();
-  WorkerPool pool(1);
-  std::atomic<int> ran{0};
-  pool.post([&] {
-    gate->enter_and_wait();
-    ++ran;
-  });
-  gate->wait_entered();
-  for (int i = 0; i < 5; ++i) {
-    pool.post([&] { ++ran; });
-  }
-  // Release the gate only once shutdown has discarded the queue, so the
-  // worker cannot race ahead and run a task that should have been dropped.
-  std::thread stopper([&pool] { pool.shutdown(); });
-  while (pool.queued() != 0) {
-    std::this_thread::yield();
-  }
-  gate->release();
-  stopper.join();
-  EXPECT_EQ(ran.load(), 1) << "queued-but-unstarted tasks must be discarded";
-  EXPECT_THROW(pool.post([] {}), std::runtime_error);
-  pool.shutdown();  // idempotent
 }
 
 }  // namespace

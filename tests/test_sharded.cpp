@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "api/malsched.hpp"
-#include "exec/batch_json.hpp"
+#include "api/outcome_json.hpp"
 #include "support/mutex.hpp"
 #include "workload/generators.hpp"
 
@@ -58,25 +58,16 @@ std::vector<SolveRequest> mixed_requests(std::size_t base_count) {
   return requests;
 }
 
-/// Outcomes reshaped as a BatchReport so the byte-compare reuses the proven
-/// exec/batch_json serialization. Indices come from submission order, NOT
-/// the (composite, per-shard) sharded tickets.
-BatchReport report_from(const std::vector<SolveOutcome>& outcomes) {
-  BatchReport report;
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    BatchItem item;
-    item.index = i;
-    item.status = outcomes[i].status;
-    item.result = outcomes[i].result;
-    item.error = outcomes[i].error;
-    switch (item.status) {
-      case BatchItemStatus::kOk: ++report.ok; break;
-      case BatchItemStatus::kError: ++report.errors; break;
-      case BatchItemStatus::kCancelled: ++report.cancelled; break;
-    }
-    report.items.push_back(std::move(item));
+/// Serial reference: every request solved on the calling thread through the
+/// global registry, ticket = submission index.
+std::vector<SolveOutcome> serial_outcomes(const std::vector<SolveRequest>& requests) {
+  std::vector<SolveOutcome> outcomes(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    outcomes[i].ticket = i;
+    outcomes[i].status = SolveStatus::kOk;
+    outcomes[i].result = SolverRegistry::global().solve(requests[i]);
   }
-  return report;
+  return outcomes;
 }
 
 /// Two-way latch for the blocking test solver (same shape as the
@@ -153,13 +144,13 @@ std::pair<InstanceHandle, InstanceHandle> handles_on_distinct_shards(
 
 // The tentpole acceptance property: for a fixed request sequence, outcomes
 // are byte-identical across shard counts AND worker counts, and identical
-// to the closed-batch reference.
+// to serial registry solves.
 TEST(ShardedService, ByteIdenticalOutcomesAcrossShardAndWorkerCounts) {
   const auto requests = mixed_requests(16);
-  BatchJsonOptions json;
+  OutcomeJsonOptions json;
   json.include_timing = false;
   json.include_schedules = true;
-  const std::string reference = batch_report_json(solve_batch(requests), json);
+  const std::string reference = outcomes_json(serial_outcomes(requests), json);
 
   for (const unsigned shards : {1u, 2u, 8u}) {
     for (const unsigned workers : {1u, 2u, 8u}) {
@@ -170,10 +161,14 @@ TEST(ShardedService, ByteIdenticalOutcomesAcrossShardAndWorkerCounts) {
       ASSERT_EQ(tickets.size(), requests.size());
       service.drain();
 
+      // Renumbered by submission order: sharded tickets are composite.
       std::vector<SolveOutcome> outcomes;
       outcomes.reserve(tickets.size());
-      for (const auto ticket : tickets) outcomes.push_back(service.wait(ticket));
-      EXPECT_EQ(batch_report_json(report_from(outcomes), json), reference)
+      for (const auto ticket : tickets) {
+        outcomes.push_back(service.wait(ticket));
+        outcomes.back().ticket = outcomes.size() - 1;
+      }
+      EXPECT_EQ(outcomes_json(outcomes, json), reference)
           << "outcomes differ at " << shards << " shards x " << workers << " workers";
 
       const auto stats = service.stats();

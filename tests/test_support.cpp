@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "support/cancellation.hpp"
 #include "support/json.hpp"
 #include "support/math_utils.hpp"
 #include "support/parallel_for.hpp"
@@ -249,6 +250,13 @@ TEST(Table, CellFormatting) {
 }
 
 // ------------------------------------------------------------- parallel_for
+
+TEST(CancelToken, CopiedTokensShareOneFlag) {
+  CancelToken token;
+  const CancelToken copy = token;
+  token.cancel();
+  EXPECT_TRUE(copy.cancelled());
+}
 
 TEST(ParallelFor, ComputesEveryIndexOnce) {
   std::vector<std::atomic<int>> hits(500);

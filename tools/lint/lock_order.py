@@ -20,7 +20,7 @@ a relock, real regardless of instance identity.
 The intended order is declared where the lock vocabulary lives
 (src/support/mutex.hpp) with comment directives:
 
-    // lint:lock-order(SchedulerService::mutex_ -> WorkerPool::mutex_)
+    // lint:lock-order(Outer::mutex_ -> Inner::mutex_)
 
 Arrow chains declare consecutive pairs. The analysis then reports:
 

@@ -54,23 +54,6 @@ class RawMutexRule(PatternRule):
                "support/mutex.hpp so -Wthread-safety can check the locking")
 
 
-class LegacyBatchJobRule(PatternRule):
-    id = "legacy-api"
-    doc = "BatchJob in library code outside its documented shims"
-    scope = ("src",)
-    allowlist = frozenset({
-        os.path.join("src", "registry", "request.hpp"),
-        os.path.join("src", "api", "scheduler_service.hpp"),
-        os.path.join("src", "api", "scheduler_service.cpp"),
-        os.path.join("src", "api", "solve_batch.hpp"),
-        os.path.join("src", "api", "solve_batch.cpp"),
-        os.path.join("src", "exec", "batch_runner.hpp"),
-        os.path.join("src", "exec", "batch_runner.cpp")})
-    pattern = re.compile(r"\bBatchJob\b")
-    message = ("BatchJob is a documented compatibility shim; new code takes "
-               "SolveRequest/InstanceHandle (API v2)")
-
-
 class LegacySolveRule(PatternRule):
     id = "legacy-api"
     doc = "legacy solve(\"name\", ...) dispatch outside the registry shims"
@@ -190,7 +173,6 @@ class CvWaitPredicateRule(FileRule):
 TOKEN_RULES = [
     SteadyClockRule(),
     RawMutexRule(),
-    LegacyBatchJobRule(),
     LegacySolveRule(),
     PrintfRule(),
     UnorderedIterationRule(),
